@@ -65,6 +65,34 @@ void BM_RingEvalHorner(benchmark::State& state) {
 }
 BENCHMARK(BM_RingEvalHorner)->Arg(29)->Arg(83)->Arg(257);
 
+void BM_RingEvalPacked(benchmark::State& state) {
+  // The server's share read (DESIGN.md §2): stored share bytes evaluated in
+  // place against a power table built once per point.
+  auto field = *gf::Field::Make(static_cast<uint32_t>(state.range(0)));
+  gf::Ring ring(field);
+  Random rng(2);
+  std::string packed = ring.Serialize(RandomElem(ring, &rng));
+  gf::PowerTable powers = ring.Powers(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.EvalAt(powers, packed));
+  }
+}
+BENCHMARK(BM_RingEvalPacked)->Arg(29)->Arg(83)->Arg(257);
+
+void BM_RingSerializeRoundTrip(benchmark::State& state) {
+  // Packs and unpacks one share: the codec work a share fetch repeats per
+  // share on each side of the wire.
+  auto field = *gf::Field::Make(83);
+  gf::Ring ring(field);
+  Random rng(7);
+  gf::RingElem f = RandomElem(ring, &rng);
+  for (auto _ : state) {
+    std::string packed = ring.Serialize(f);
+    benchmark::DoNotOptimize(ring.Deserialize(packed));
+  }
+}
+BENCHMARK(BM_RingSerializeRoundTrip);
+
 void BM_RingMulConvolution(benchmark::State& state) {
   // Coefficient-domain product: O(n^2).
   auto field = *gf::Field::Make(83);

@@ -81,7 +81,8 @@ void BM_BTreeInsert(benchmark::State& state) {
   auto tree = *storage::BTree::Create(&pool);
   uint64_t key = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Insert(++key, key));
+    ++key;
+    benchmark::DoNotOptimize(tree.Insert(key, key));
   }
 }
 BENCHMARK(BM_BTreeInsert);
@@ -107,8 +108,12 @@ void BM_DescendantScan(benchmark::State& state) {
   storage::MemoryNodeStore store;
   const uint32_t n = 20000;
   for (uint32_t i = 1; i <= n; ++i) {
-    SSDB_CHECK_OK(store.Insert(
-        {i, n + 1 - i, i == 1 ? 0 : 1, std::string(72, 'x')}));
+    storage::NodeRow row;
+    row.pre = i;
+    row.post = n + 1 - i;
+    row.parent = i == 1 ? 0 : 1;
+    row.share = std::string(72, 'x');
+    SSDB_CHECK_OK(store.Insert(row));
   }
   for (auto _ : state) {
     uint64_t count = 0;

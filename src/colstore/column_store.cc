@@ -215,6 +215,7 @@ Status ColumnStore::Put(Family family, uint64_t nonce,
 }
 
 StatusOr<std::string> ColumnStore::Get(Family family, uint64_t nonce) const {
+  blob_reads_.fetch_add(1, std::memory_order_relaxed);
   SSDB_ASSIGN_OR_RETURN(uint64_t ref,
                         directory_->Get(DirectoryKey(family, nonce)));
   if (ref & kChainRefBit) {
@@ -270,6 +271,7 @@ ColumnStoreStats ColumnStore::Stats() const {
   stats.blob_bytes = blob_bytes_;
   stats.file_bytes = pager_->file_bytes();
   stats.page_count = pager_->page_count();
+  stats.blob_reads = blob_reads_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -24,12 +24,14 @@
 // Erased chains go on the store's own free list (relinked through the next
 // field) and are reused before the file grows.
 //
-// Thread safety: none here — DiskNodeStore calls in under its own lock,
-// with the shared/exclusive discipline it already applies to the row table.
+// Thread safety: none here beyond the read counter — DiskNodeStore calls in
+// under its own lock, with the shared/exclusive discipline it already
+// applies to the row table.
 
 #ifndef SSDB_COLSTORE_COLUMN_STORE_H_
 #define SSDB_COLSTORE_COLUMN_STORE_H_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,6 +55,9 @@ struct ColumnStoreStats {
   uint64_t blob_bytes = 0;
   uint64_t file_bytes = 0;
   uint64_t page_count = 0;
+  // Get() calls since the store was opened. Metadata only: counted in
+  // memory, never persisted; it lets tests pin which reads touch blobs.
+  uint64_t blob_reads = 0;
 };
 
 class ColumnStore {
@@ -97,6 +102,8 @@ class ColumnStore {
   storage::PageId free_head_ = 0;  // 0 = empty (page 0 is meta, never a blob)
   uint64_t blob_count_ = 0;
   uint64_t blob_bytes_ = 0;
+  // Bumped by concurrent readers under DiskNodeStore's shared lock.
+  mutable std::atomic<uint64_t> blob_reads_{0};
 };
 
 }  // namespace ssdb::colstore

@@ -129,9 +129,10 @@ StatusOr<std::vector<NodeMeta>> ClientFilter::Descendants(
   return all;
 }
 
-gf::Elem ClientFilter::EvalClientShare(const NodeMeta& node, gf::Elem t) {
+gf::Elem ClientFilter::EvalClientShare(const NodeMeta& node,
+                                       const gf::PowerTable& powers) {
   gf::RingElem share = prg_.ClientShare(ring_, node.ShareNonce());
-  return ring_.Eval(share, t);
+  return ring_.EvalAt(powers, share);
 }
 
 StatusOr<std::vector<agg::Word>> ClientFilter::Aggregate(
@@ -382,10 +383,11 @@ StatusOr<std::vector<uint8_t>> ClientFilter::ContainsValueBatch(
   if (server_values.size() != nodes.size()) {
     return Status::Internal("EvalAtBatch size mismatch");
   }
+  const gf::PowerTable powers = ring_.Powers(t);
   std::vector<uint8_t> out(nodes.size(), 0);
   for (size_t i = 0; i < nodes.size(); ++i) {
     gf::Elem sum = ring_.field().Add(server_values[i],
-                                     EvalClientShare(nodes[i], t));
+                                     EvalClientShare(nodes[i], powers));
     out[i] = (sum == 0) ? 1 : 0;
   }
   return out;
@@ -422,9 +424,10 @@ StatusOr<std::vector<uint8_t>> ClientFilter::ContainsAllValuesBatch(
     if (server_values.size() != pres.size()) {
       return Status::Internal("EvalAtBatch size mismatch");
     }
+    const gf::PowerTable powers = ring_.Powers(value);
     for (size_t j = 0; j < indices.size(); ++j) {
       gf::Elem sum = ring_.field().Add(
-          server_values[j], ring_.Eval(client_shares[indices[j]], value));
+          server_values[j], ring_.EvalAt(powers, client_shares[indices[j]]));
       if (sum != 0) alive[indices[j]] = 0;
     }
   }

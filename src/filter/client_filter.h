@@ -205,9 +205,10 @@ class ClientFilter {
     double straggler_before_ = 0;
   };
 
-  // eval(client_share(node), t) — regenerated from the PRG (keyed by the
-  // node's share nonce, DESIGN.md §12), never stored.
-  gf::Elem EvalClientShare(const NodeMeta& node, gf::Elem t);
+  // eval(client_share(node), t) against t's power table — the share is
+  // regenerated from the PRG (keyed by the node's share nonce, DESIGN.md
+  // §12), never stored.
+  gf::Elem EvalClientShare(const NodeMeta& node, const gf::PowerTable& powers);
   // Reconstructs the full polynomial of a node (client + server share).
   StatusOr<gf::RingElem> ReconstructPoly(const NodeMeta& node);
   // Extracts the node's own factor from its reconstructed polynomial and

@@ -128,32 +128,44 @@ StatusOr<gf::RingElem> LocalServerFilter::ReadShare(uint32_t pre) {
   return share;
 }
 
-StatusOr<gf::Elem> LocalServerFilter::EvalRowAt(uint32_t pre, gf::Elem t) {
+StatusOr<gf::Elem> LocalServerFilter::EvalRowAt(
+    uint32_t pre, const gf::PowerTable& powers) {
   StatusOr<gf::Elem> value = Status::Internal("unset");
   SSDB_RETURN_IF_ERROR(store_->VisitByPre(
       pre, [&](const storage::NodeRow& row) {
-        StatusOr<gf::RingElem> share = ring_.Deserialize(row.share);
-        if (!share.ok()) {
-          value = share.status();
-          return;
-        }
-        value = ring_.Eval(*share, t);
+        value = ring_.EvalAt(powers, row.share);
       }));
   return value;
 }
 
+Status LocalServerFilter::CheckPoint(gf::Elem t) const {
+  if (!ring_.field().IsValid(t)) {
+    return Status::InvalidArgument("evaluation point " + std::to_string(t) +
+                                   " is not in F_" +
+                                   std::to_string(ring_.field().q()));
+  }
+  return Status::OK();
+}
+
+StatusOr<gf::PowerTable> LocalServerFilter::PowersAt(gf::Elem t) const {
+  SSDB_RETURN_IF_ERROR(CheckPoint(t));
+  return ring_.Powers(t);
+}
+
 StatusOr<gf::Elem> LocalServerFilter::EvalAt(uint32_t pre, gf::Elem t) {
   CountTrip();
-  return EvalRowAt(pre, t);
+  SSDB_ASSIGN_OR_RETURN(gf::PowerTable powers, PowersAt(t));
+  return EvalRowAt(pre, powers);
 }
 
 StatusOr<std::vector<gf::Elem>> LocalServerFilter::EvalAtBatch(
     const std::vector<uint32_t>& pres, gf::Elem t) {
   CountTrip();
+  SSDB_ASSIGN_OR_RETURN(const gf::PowerTable powers, PowersAt(t));
   std::vector<gf::Elem> out;
   out.reserve(pres.size());
   for (uint32_t pre : pres) {
-    SSDB_ASSIGN_OR_RETURN(gf::Elem value, EvalRowAt(pre, t));
+    SSDB_ASSIGN_OR_RETURN(gf::Elem value, EvalRowAt(pre, powers));
     out.push_back(value);
   }
   return out;
@@ -162,6 +174,10 @@ StatusOr<std::vector<gf::Elem>> LocalServerFilter::EvalAtBatch(
 StatusOr<std::vector<gf::Elem>> LocalServerFilter::EvalPointsBatch(
     uint32_t pre, const std::vector<gf::Elem>& points) {
   CountTrip();
+  // The list comes off the wire and may be as long as a frame allows:
+  // check it whole before any work, then evaluate the one share by Horner,
+  // so memory beyond the reply stays one share whatever the list length.
+  for (gf::Elem t : points) SSDB_RETURN_IF_ERROR(CheckPoint(t));
   SSDB_ASSIGN_OR_RETURN(gf::RingElem share, ReadShare(pre));
   std::vector<gf::Elem> out;
   out.reserve(points.size());

@@ -293,10 +293,17 @@ class LocalServerFilter : public ServerFilter {
   void CountTrip() { round_trips_.fetch_add(1, std::memory_order_relaxed); }
 
   // Share reads through the store's zero-copy visit path: only the share
-  // bytes are decoded, the row's other payloads (sealed, aggregate
-  // columns) are never copied.
+  // bytes are touched, the row's other payloads are never copied.
+  // ReadShare unpacks them for a full-share fetch (and for one share at
+  // many points); EvalRowAt evaluates them in place against a power table
+  // built once per point (DESIGN.md §2).
   StatusOr<gf::RingElem> ReadShare(uint32_t pre);
-  StatusOr<gf::Elem> EvalRowAt(uint32_t pre, gf::Elem t);
+  StatusOr<gf::Elem> EvalRowAt(uint32_t pre, const gf::PowerTable& powers);
+  // A point that arrived from a client: InvalidArgument unless t is in
+  // F_q, so it never indexes past the field's tables. PowersAt checks it
+  // and builds its power table.
+  Status CheckPoint(gf::Elem t) const;
+  StatusOr<gf::PowerTable> PowersAt(gf::Elem t) const;
 
   gf::Ring ring_;
   storage::NodeStore* store_;

@@ -88,6 +88,70 @@ Elem Ring::Eval(const RingElem& f, Elem t) const {
   return acc;
 }
 
+namespace {
+
+// sum_i coeff(i) * pow[i] over F_q. On prime fields every product is below
+// 2^32 and there are n < 2^16 of them, so the sum fits in 64 bits and needs
+// one reduction; extension fields go through Field ops term by term.
+template <typename Coeff>
+Elem DotPowers(const Field& field, const std::vector<Elem>& pow,
+               Coeff coeff) {
+  const uint32_t n = field.n();
+  if (field.e() == 1) {
+    uint64_t acc = 0;
+    for (uint32_t i = 0; i < n; ++i) acc += uint64_t{coeff()} * pow[i];
+    return static_cast<Elem>(acc % field.q());
+  }
+  Elem acc = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    acc = field.Add(acc, field.Mul(coeff(), pow[i]));
+  }
+  return acc;
+}
+
+}  // namespace
+
+PowerTable Ring::Powers(Elem t) const {
+  PowerTable table;
+  table.pow.resize(n());
+  Elem power = 1;
+  for (uint32_t i = 0; i < n(); ++i) {
+    table.pow[i] = power;
+    power = field_.Mul(power, t);
+  }
+  return table;
+}
+
+Elem Ring::EvalAt(const PowerTable& powers, const RingElem& f) const {
+  SSDB_DCHECK(f.size() == n() && powers.pow.size() == n());
+  const Elem* next = f.data();
+  return DotPowers(field_, powers.pow, [&] { return *next++; });
+}
+
+StatusOr<Elem> Ring::EvalAt(const PowerTable& powers,
+                            std::string_view packed) const {
+  SSDB_DCHECK(powers.pow.size() == n());
+  SSDB_RETURN_IF_ERROR(CheckPackedLength(packed));
+  BitCursor cursor(packed);
+  const int bits = field_.bit_width();
+  const Elem q = field_.q();
+  bool out_of_range = false;
+  // An out-of-range coefficient is replaced by 0 so extension-field Mul
+  // never indexes past its tables; the result is discarded anyway.
+  Elem value = DotPowers(field_, powers.pow, [&] {
+    Elem c = cursor.Next(bits);
+    if (c >= q) {
+      out_of_range = true;
+      return Elem{0};
+    }
+    return c;
+  });
+  if (out_of_range) {
+    return Status::Corruption("ring element coefficient out of range");
+  }
+  return value;
+}
+
 bool Ring::IsZero(const RingElem& f) const {
   for (Elem c : f) {
     if (c != 0) return false;
@@ -100,7 +164,25 @@ std::string Ring::Serialize(const RingElem& f) const {
   return PackVector(f, field_.bit_width());
 }
 
+Status Ring::CheckPackedLength(std::string_view data) const {
+  if (data.size() < serialized_bytes()) {
+    return Status::OutOfRange("ring element truncated: " +
+                              std::to_string(data.size()) + " of " +
+                              std::to_string(serialized_bytes()) + " bytes");
+  }
+  // Trailing bytes are rejected too: a server padding a share reply must
+  // not go unnoticed.
+  if (data.size() > serialized_bytes()) {
+    return Status::Corruption("ring element has " +
+                              std::to_string(data.size()) +
+                              " bytes, expected " +
+                              std::to_string(serialized_bytes()));
+  }
+  return Status::OK();
+}
+
 StatusOr<RingElem> Ring::Deserialize(std::string_view data) const {
+  SSDB_RETURN_IF_ERROR(CheckPackedLength(data));
   SSDB_ASSIGN_OR_RETURN(RingElem out,
                         UnpackVector(data, field_.bit_width(), n()));
   for (Elem c : out) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gf/field.h"
@@ -24,6 +25,13 @@ namespace ssdb::gf {
 
 // Always has size Ring::n(); index i is the coefficient of x^i.
 using RingElem = std::vector<Elem>;
+
+// t^0 .. t^(n-1) for one evaluation point t, built by Ring::Powers. A
+// distinct type so a table and a ring element cannot be swapped at a call
+// site.
+struct PowerTable {
+  std::vector<Elem> pow;
+};
 
 class Ring {
  public:
@@ -59,18 +67,34 @@ class Ring {
   RingElem MulXMinus(const RingElem& f, Elem t) const;
 
   // Horner evaluation at a point. For t != 0 this equals the evaluation of
-  // any preimage polynomial.
+  // any preimage polynomial. For one-off points; many shares at one point
+  // go through a PowerTable.
   Elem Eval(const RingElem& f, Elem t) const;
+
+  // Point-evaluation kernel (DESIGN.md §2): f(t) = sum_i f_i * t^i as a dot
+  // product against Powers(t), so the table is built once per point and
+  // every share evaluated at that point costs n multiply-adds with a single
+  // reduction on prime fields. Both overloads equal Eval(f, t).
+  PowerTable Powers(Elem t) const;
+  Elem EvalAt(const PowerTable& powers, const RingElem& f) const;
+  // Evaluates Serialize()d share bytes in place, without building a
+  // RingElem; rejects them exactly as Deserialize would.
+  StatusOr<Elem> EvalAt(const PowerTable& powers,
+                        std::string_view packed) const;
 
   bool IsZero(const RingElem& f) const;
 
   // Bit-packed serialization (n * bit_width bits, little-endian).
+  // Deserialize requires exactly serialized_bytes(): OutOfRange when
+  // shorter, Corruption when longer or when a coefficient is >= q.
   std::string Serialize(const RingElem& f) const;
   StatusOr<RingElem> Deserialize(std::string_view data) const;
 
   std::string ToString(const RingElem& f) const;
 
  private:
+  Status CheckPackedLength(std::string_view data) const;
+
   Field field_;
 };
 

@@ -62,7 +62,8 @@ struct NodeRow {
 // The two blob families a node owns beyond its fixed columns: the §8
 // aggregate-column slice and the §9 verification track. On the disk backend
 // they live in the column store (src/colstore/), keyed by ShareNonce(), not
-// in the heap row (DESIGN.md §12).
+// in the heap row (DESIGN.md §12), and NodeStore::GetColumns is the only
+// call that reads them.
 struct ColumnBlobs {
   std::string agg;
   std::string verify;
@@ -105,16 +106,18 @@ class NodeStore {
   // Rows must be inserted with unique pre values.
   virtual Status Insert(const NodeRow& row) = 0;
 
+  // The stored row. Its agg/verify are whatever the row itself holds: on
+  // the disk backend's column-store layout (DESIGN.md §12) they are empty,
+  // and GetColumns is the way to read them.
   virtual StatusOr<NodeRow> GetByPre(uint32_t pre) = 0;
 
-  // Zero-copy read path for the server's hot loops: `fn` sees the stored
-  // row without the payload strings (share, sealed, aggregate columns)
-  // being copied first — a share evaluation or a column fold touches a few
-  // bytes of rows that are kilobytes wide. The row reference is valid only
-  // during the call, and fn must not call back into the store (the memory
-  // backend holds its read lock across fn). The default copies via
-  // GetByPre, so implementations without an in-place representation still
-  // work.
+  // Read path for the server's hot loops: `fn` sees the stored row (same
+  // columns as GetByPre) without it being copied out first — a share
+  // evaluation touches a few bytes of the row and nothing else. The row
+  // reference is valid only during the call, and fn must not call back
+  // into the store (the memory backend holds its read lock across fn). The
+  // default copies via GetByPre, which is all the disk backend needs: its
+  // rows are decoded out of a heap record either way.
   virtual Status VisitByPre(uint32_t pre,
                             const std::function<void(const NodeRow&)>& fn) {
     SSDB_ASSIGN_OR_RETURN(NodeRow row, GetByPre(pre));
@@ -122,7 +125,7 @@ class NodeStore {
     return Status::OK();
   }
 
-  // The row with parent == 0.
+  // The row with parent == 0; blobs as for GetByPre.
   virtual StatusOr<NodeRow> GetRoot() = 0;
 
   // Children of the given node in pre (document) order.
@@ -152,8 +155,10 @@ class NodeStore {
   virtual Status Flush() = 0;
 
   // The node's aggregate-column and verification blobs (DESIGN.md §8/§9).
-  // The default reads them off the row itself; the disk backend overrides
-  // this to read the column store (§12), where rows no longer carry them.
+  // The only blob reader: callers that need the blobs come here, every
+  // other read may leave them off. The default reads them off the row
+  // itself; the disk backend overrides this to read the column store
+  // (§12), where rows no longer carry them.
   virtual StatusOr<ColumnBlobs> GetColumns(uint32_t pre) {
     SSDB_ASSIGN_OR_RETURN(NodeRow row, GetByPre(pre));
     ColumnBlobs blobs;

@@ -272,31 +272,10 @@ StatusOr<NodeRow> DiskNodeStore::FetchRow(RecordId rid) {
   return DecodeNodeRow(record);
 }
 
-Status DiskNodeStore::AttachColumns(NodeRow* row) {
-  if (columns_ == nullptr) return Status::OK();  // in-row layout
-  StatusOr<std::string> agg =
-      columns_->Get(colstore::Family::kAgg, row->ShareNonce());
-  if (agg.ok()) {
-    row->agg = std::move(*agg);
-  } else if (!agg.status().IsNotFound()) {
-    return agg.status();
-  }
-  StatusOr<std::string> verify =
-      columns_->Get(colstore::Family::kVerify, row->ShareNonce());
-  if (verify.ok()) {
-    row->verify = std::move(*verify);
-  } else if (!verify.status().IsNotFound()) {
-    return verify.status();
-  }
-  return Status::OK();
-}
-
 StatusOr<NodeRow> DiskNodeStore::GetByPre(uint32_t pre) {
   std::shared_lock<std::shared_mutex> lock(mu_);
   SSDB_ASSIGN_OR_RETURN(uint64_t rid, pre_index_->Get(pre));
-  SSDB_ASSIGN_OR_RETURN(NodeRow row, FetchRow(rid));
-  SSDB_RETURN_IF_ERROR(AttachColumns(&row));
-  return row;
+  return FetchRow(rid);
 }
 
 StatusOr<NodeRow> DiskNodeStore::GetRoot() {
@@ -309,9 +288,7 @@ StatusOr<NodeRow> DiskNodeStore::GetRoot() {
         return false;  // first match is the root
       }));
   if (rid == kInvalidRecordId) return Status::NotFound("no root row");
-  SSDB_ASSIGN_OR_RETURN(NodeRow row, FetchRow(rid));
-  SSDB_RETURN_IF_ERROR(AttachColumns(&row));
-  return row;
+  return FetchRow(rid);
 }
 
 StatusOr<std::vector<NodeRow>> DiskNodeStore::GetChildren(

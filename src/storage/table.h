@@ -12,9 +12,10 @@
 // share nonce, not in the heap row (DESIGN.md §12) — that is what lifts the
 // ~140-tag map cap the old in-row layout imposed. Databases created before
 // §12 have no .cols file and keep their blobs in-row; both layouts read
-// through GetColumns(). Rows returned by GetChildren/ScanDescendants carry
-// empty agg/verify on the column-store layout (the structure walks never
-// needed them); GetByPre/VisitByPre reattach them.
+// them through GetColumns(), the only blob reader. Every other read
+// (GetByPre, GetRoot, VisitByPre, GetChildren, ScanDescendants) returns the
+// heap row alone, so on the column-store layout its agg/verify are empty
+// and a share read never touches the column store.
 //
 // Mutations (DESIGN.md §12): PrepareMutation journals a validated plan
 // durably ("<path>.journal", written tmp+rename+fsync); CommitMutation
@@ -88,9 +89,6 @@ class DiskNodeStore : public NodeStore {
 
   Status SaveRoots();
   StatusOr<NodeRow> FetchRow(RecordId rid);
-  // Reattaches column-store blobs onto a fetched row (no-op on the in-row
-  // layout). Caller holds mu_.
-  Status AttachColumns(NodeRow* row);
   // Removes the row at `pre` (heap record, all three index entries, its
   // column-store blobs) — caller holds mu_ exclusively.
   Status EraseRowLocked(uint32_t pre);

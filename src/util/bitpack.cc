@@ -64,24 +64,40 @@ Status BitReader::Read(int bits, uint64_t* value) {
   return Status::OK();
 }
 
+// PackVector/UnpackVector produce exactly BitWriter/BitReader's stream, but
+// move whole 32-bit words through a 64-bit accumulator instead of one value
+// (or one byte) at a time — they sit under every share serialization.
 std::string PackVector(const std::vector<uint32_t>& values, int bits) {
-  BitWriter writer;
+  SSDB_DCHECK(bits >= 1 && bits <= 32) << "unsupported bit width " << bits;
+  std::string out((values.size() * bits + 7) / 8, '\0');
+  char* dst = out.data();
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  uint64_t acc = 0;  // pending bits, little-endian; fewer than 32 between
+  int acc_bits = 0;  // iterations, so one value always fits
   for (uint32_t v : values) {
-    writer.Write(v, bits);
+    acc |= (v & mask) << acc_bits;
+    acc_bits += bits;
+    if (acc_bits >= 32) {
+      for (int i = 0; i < 4; ++i) *dst++ = static_cast<char>(acc >> (8 * i));
+      acc >>= 32;
+      acc_bits -= 32;
+    }
   }
-  return writer.Finish();
+  for (; acc_bits > 0; acc_bits -= 8, acc >>= 8) {
+    *dst++ = static_cast<char>(acc);
+  }
+  return out;
 }
 
 StatusOr<std::vector<uint32_t>> UnpackVector(std::string_view data, int bits,
                                              size_t count) {
-  BitReader reader(data);
-  std::vector<uint32_t> values;
-  values.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t v = 0;
-    SSDB_RETURN_IF_ERROR(reader.Read(bits, &v));
-    values.push_back(static_cast<uint32_t>(v));
+  SSDB_DCHECK(bits >= 1 && bits <= 32) << "unsupported bit width " << bits;
+  if (data.size() * 8 < count * bits) {
+    return Status::OutOfRange("BitReader: buffer exhausted");
   }
+  std::vector<uint32_t> values(count);
+  BitCursor cursor(data);
+  for (size_t i = 0; i < count; ++i) values[i] = cursor.Next(bits);
   return values;
 }
 

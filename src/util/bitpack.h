@@ -56,10 +56,48 @@ class BitReader {
   size_t bit_pos_ = 0;
 };
 
-// Convenience: packs `values`, each `bits` wide. Inverse of UnpackVector.
+// Unchecked word-buffered reader over the same little-endian bit stream,
+// for the hot paths (share unpacking and in-place share evaluation). The
+// caller checks up front that `data` holds every bit it will ask for.
+class BitCursor {
+ public:
+  explicit BitCursor(std::string_view data)
+      : next_(reinterpret_cast<const uint8_t*>(data.data())),
+        end_(next_ + data.size()) {}
+
+  // The next `bits` (1 <= bits <= 32) bits.
+  uint32_t Next(int bits) {
+    while (acc_bits_ < bits) {
+      if (end_ - next_ >= 4) {
+        uint64_t word = next_[0] | uint32_t{next_[1]} << 8 |
+                        uint32_t{next_[2]} << 16 | uint32_t{next_[3]} << 24;
+        acc_ |= word << acc_bits_;
+        acc_bits_ += 32;
+        next_ += 4;
+      } else {
+        acc_ |= uint64_t{*next_++} << acc_bits_;
+        acc_bits_ += 8;
+      }
+    }
+    uint32_t value = static_cast<uint32_t>(acc_ & ((uint64_t{1} << bits) - 1));
+    acc_ >>= bits;
+    acc_bits_ -= bits;
+    return value;
+  }
+
+ private:
+  const uint8_t* next_;
+  const uint8_t* end_;
+  uint64_t acc_ = 0;  // buffered bits, little-endian
+  int acc_bits_ = 0;
+};
+
+// Packs `values`, each `bits` wide (1 <= bits <= 32), into BitWriter's
+// stream. Inverse of UnpackVector.
 std::string PackVector(const std::vector<uint32_t>& values, int bits);
 
-// Unpacks `count` values of `bits` bits each from `data`.
+// Unpacks `count` values of `bits` bits each from `data`; OutOfRange when
+// `data` is too short.
 StatusOr<std::vector<uint32_t>> UnpackVector(std::string_view data, int bits,
                                              size_t count);
 

@@ -4,6 +4,7 @@
 // behaviour or silent wrong answers in strict mode.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "storage/table.h"
 #include "test_helpers.h"
 #include "util/file_util.h"
+#include "util/random.h"
 
 namespace ssdb {
 namespace {
@@ -31,7 +33,8 @@ TEST(FailureTest, CorruptedPageIsDetectedByChecksum) {
     for (uint32_t i = 1; i <= 200; ++i) {
       ASSERT_TRUE(
           (*store)
-              ->Insert({i, i, i == 1 ? 0 : 1, std::string(70, 'x')})
+              ->Insert(testing_helpers::MakeRow(i, i, i == 1 ? 0 : 1,
+                                                std::string(70, 'x')))
               .ok());
     }
     ASSERT_TRUE((*store)->Flush().ok());
@@ -72,7 +75,8 @@ TEST(FailureTest, TruncatedFileIsRejected) {
   {
     auto store = storage::DiskNodeStore::Create(path);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Insert({1, 1, 0, "x"}).ok());
+    ASSERT_TRUE(
+        (*store)->Insert(testing_helpers::MakeRow(1, 1, 0, "x")).ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
   auto size = FileSize(path);
@@ -165,6 +169,8 @@ TEST(FailureTest, ShareDeserializationRejectsWrongLength) {
   EXPECT_FALSE(ring.Deserialize("short").ok());
   std::string valid(ring.serialized_bytes(), '\0');
   EXPECT_TRUE(ring.Deserialize(valid).ok());
+  // A share reply padded by one byte is rejected, not silently truncated.
+  EXPECT_TRUE(ring.Deserialize(valid + '\0').status().IsCorruption());
 }
 
 TEST(FailureTest, OutOfRangeQueriesAndCursors) {
@@ -172,6 +178,60 @@ TEST(FailureTest, OutOfRangeQueriesAndCursors) {
   EXPECT_FALSE(db->server->EvalAt(99999, 5).ok());
   EXPECT_FALSE(db->server->FetchShare(99999).ok());
   EXPECT_FALSE(db->server->NextNodes(31337, 8).ok());
+  // Evaluation points come off the wire too: one outside F_q is refused
+  // before it can index the field's log tables.
+  const gf::Elem outside = db->field.q();
+  EXPECT_TRUE(db->server->EvalAt(1, outside).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      db->server->EvalAtBatch({1, 2}, outside).status().IsInvalidArgument());
+  EXPECT_TRUE(db->server->EvalPointsBatch(1, {2, outside})
+                  .status()
+                  .IsInvalidArgument());
+}
+
+long PeakRssKb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;  // kilobytes on Linux
+}
+
+// EvalPointsBatch's point list comes off the wire and may be as long as a
+// frame allows. Serving it must cost the reply plus one share, not a power
+// table per point: at q = 65521 a table is 256 KiB, so 512 points held as
+// tables would take 128 MiB.
+TEST(FailureTest, LongPointListsStayWithinBoundedMemory) {
+  auto field = gf::Field::Make(65521);
+  ASSERT_TRUE(field.ok());
+  const gf::Ring ring(*field);
+  Random rng(5);
+  gf::RingElem share(ring.n());
+  for (auto& c : share) c = static_cast<gf::Elem>(rng.Uniform(field->q()));
+  storage::MemoryNodeStore store;
+  ASSERT_TRUE(
+      store.Insert(testing_helpers::MakeRow(1, 1, 0, ring.Serialize(share)))
+          .ok());
+  filter::LocalServerFilter server(ring, &store);
+
+  std::vector<gf::Elem> points(512);
+  for (size_t i = 0; i < points.size(); ++i) {
+    points[i] = static_cast<gf::Elem>(i * 127 % field->q());
+  }
+  std::vector<gf::Elem> with_bad_last = points;
+  with_bad_last.back() = field->q();
+
+  const long before_kb = PeakRssKb();
+  // A bad point anywhere refuses the whole list before any evaluation.
+  EXPECT_TRUE(
+      server.EvalPointsBatch(1, with_bad_last).status().IsInvalidArgument());
+  auto values = server.EvalPointsBatch(1, points);
+  const long grown_kb = PeakRssKb() - before_kb;
+
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  ASSERT_EQ(values->size(), points.size());
+  for (size_t i = 0; i < points.size(); i += 37) {
+    EXPECT_EQ((*values)[i], ring.Eval(share, points[i])) << "t=" << points[i];
+  }
+  EXPECT_LT(grown_kb, 16 * 1024) << "peak RSS grew by " << grown_kb << " KiB";
 }
 
 }  // namespace

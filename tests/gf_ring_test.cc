@@ -3,6 +3,7 @@
 #include "gf/dft.h"
 #include "gf/poly.h"
 #include "gf/ring.h"
+#include "util/bitpack.h"
 #include "util/random.h"
 
 namespace ssdb::gf {
@@ -163,6 +164,84 @@ TEST_F(DftTest, WorksOnSmallField) {
   RingElem f = {3, 2, 3, 2};  // 2x^3+3x^2+2x+3
   EXPECT_EQ(evaluator.Inverse(evaluator.Forward(f)), f);
 }
+
+// The point-evaluation kernel (DESIGN.md §2) against the paper's two prime
+// fields and an extension field, whose table is walked through Field ops.
+struct KernelCase {
+  uint32_t p;
+  uint32_t e;
+};
+
+class KernelTest : public ::testing::TestWithParam<KernelCase> {
+ protected:
+  KernelTest()
+      : field_(*Field::Make(GetParam().p, GetParam().e)), ring_(field_) {}
+
+  RingElem RandomElem(Random* rng) {
+    RingElem f(ring_.n());
+    for (auto& c : f) c = static_cast<Elem>(rng->Uniform(field_.q()));
+    return f;
+  }
+
+  Field field_;
+  Ring ring_;
+};
+
+TEST_P(KernelTest, PowerTableAndPackedEvalMatchHorner) {
+  Random rng(GetParam().p * 100 + GetParam().e);
+  std::vector<PowerTable> tables;
+  for (Elem t = 0; t < field_.q(); ++t) tables.push_back(ring_.Powers(t));
+  for (int trial = 0; trial < 10; ++trial) {
+    RingElem f = RandomElem(&rng);
+    if (trial == 0) f = ring_.Zero();
+    if (trial == 1) f.assign(ring_.n(), field_.q() - 1);  // widest sums
+    std::string bytes = ring_.Serialize(f);
+    for (Elem t = 0; t < field_.q(); ++t) {
+      Elem expected = ring_.Eval(f, t);
+      EXPECT_EQ(ring_.EvalAt(tables[t], f), expected) << "t=" << t;
+      auto packed = ring_.EvalAt(tables[t], bytes);
+      ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+      EXPECT_EQ(*packed, expected) << "t=" << t;
+    }
+  }
+}
+
+TEST_P(KernelTest, WrongLengthSharesAreRejected) {
+  Random rng(7);
+  std::string bytes = ring_.Serialize(RandomElem(&rng));
+  const PowerTable powers = ring_.Powers(2);
+  std::string truncated = bytes.substr(0, bytes.size() - 1);
+  EXPECT_EQ(ring_.Deserialize(truncated).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ring_.EvalAt(powers, truncated).status().code(),
+            StatusCode::kOutOfRange);
+  // One byte too long: a padded share reply must not pass as a share.
+  std::string padded = bytes + '\0';
+  EXPECT_TRUE(ring_.Deserialize(padded).status().IsCorruption());
+  EXPECT_TRUE(ring_.EvalAt(powers, padded).status().IsCorruption());
+}
+
+TEST_P(KernelTest, OutOfRangeCoefficientIsCorruption) {
+  // Every field here leaves packed codes >= q: p = 29 in 5 bits, p = 83
+  // and 3^4 = 81 in 7 bits.
+  ASSERT_LT(field_.q(), 1u << field_.bit_width());
+  Random rng(11);
+  for (uint32_t slot : {0u, 1u, ring_.n() / 2, ring_.n() - 1}) {
+    std::vector<uint32_t> coeffs = RandomElem(&rng);
+    coeffs[slot] = field_.q();
+    std::string bad = PackVector(coeffs, field_.bit_width());
+    EXPECT_TRUE(ring_.Deserialize(bad).status().IsCorruption());
+    EXPECT_TRUE(ring_.EvalAt(ring_.Powers(3), bad).status().IsCorruption());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fields, KernelTest,
+                         ::testing::Values(KernelCase{29, 1}, KernelCase{83, 1},
+                                           KernelCase{3, 4}),
+                         [](const auto& info) {
+                           return "p" + std::to_string(info.param.p) + "e" +
+                                  std::to_string(info.param.e);
+                         });
 
 }  // namespace
 }  // namespace ssdb::gf

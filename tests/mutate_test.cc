@@ -13,6 +13,8 @@
 //  * Capacity: the side column store lifts the old ~140-tag cap of the
 //    4 KiB heap row, so a 1000-tag map encodes, queries, mutates and
 //    reopens on disk.
+//  * Column-blind reads: share and structure reads never touch the column
+//    store; GetColumns is its only reader, before and after a mutation.
 
 #include <gtest/gtest.h>
 
@@ -694,6 +696,102 @@ TEST_F(MutateTest, ThousandTagMapEncodesAndMutatesOnDisk) {
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(state->version, 1u);
   EXPECT_EQ(state->pending_txn, 0u);
+}
+
+// Column-blind reads (DESIGN.md §12): on the disk layout the §8/§9 blobs
+// are read by GetColumns and nothing else. Share and structure reads must
+// leave the column store's read counter alone, the two column consumers
+// must move it, and after an INSERT shifts the tail the visit path, the
+// copy path and GetColumns must still agree on every row.
+TEST_F(MutateTest, ShareReadsNeverTouchTheColumnStore) {
+  TempDir dir("mutate_colblind");
+  constexpr char kFragment[] = "<book><title>t3</title></book>";
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+
+  DatabaseOptions options;
+  options.backend = Backend::kDisk;
+  options.disk_path = dir.FilePath("doc.ssdb");
+  options.servers = 2;
+  options.encode.seal_content = true;
+  options.encode.verify_aggregate = true;
+  auto db_or = EncryptedXmlDatabase::Encode(kLibXml, map, seed_, options);
+  ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+  auto db = std::move(*db_or);
+
+  auto* disk = dynamic_cast<storage::DiskNodeStore*>(db->slice_store(0));
+  ASSERT_NE(disk, nullptr);
+  filter::ServerFilter* server = db->slice_filter(0);
+  auto blob_reads = [&] { return disk->column_stats().blob_reads; };
+  const std::vector<uint32_t> all = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+
+  const uint64_t before = blob_reads();
+  ASSERT_TRUE(server->Root().ok());
+  ASSERT_TRUE(server->GetNode(3).ok());
+  ASSERT_TRUE(server->ChildrenBatch({1, 2, 7}).ok());
+  ASSERT_TRUE(server->EvalAtBatch(all, 5).ok());
+  ASSERT_TRUE(server->EvalPointsBatch(2, {0, 1, 5, 82}).ok());
+  ASSERT_TRUE(server->FetchShareBatch(all).ok());
+  ASSERT_TRUE(server->FetchSealed(4).ok());
+  EXPECT_EQ(blob_reads(), before);
+
+  agg::Spec spec;
+  spec.columns = agg::ColBit(agg::Col::kEqualSelf);
+  spec.value_count = static_cast<uint32_t>(map.size());
+  spec.value_indexes = {0};
+  spec.pres = all;
+  ASSERT_TRUE(server->PartialAggregate(spec).ok());
+  const uint64_t after_fold = blob_reads();
+  EXPECT_GT(after_fold, before);
+  ASSERT_TRUE(server->FetchColumnsBatch({2, 8}).ok());
+  EXPECT_GT(blob_reads(), after_fold);
+
+  // Inserting under shelfA shifts shelfB's subtree by two pres, so its rows
+  // carry their original pre as the share nonce.
+  auto inserted = db->Insert(2, kFragment);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  for (size_t slice = 0; slice < 2; ++slice) {
+    storage::NodeStore* store = db->slice_store(slice);
+    auto count = store->NodeCount();
+    ASSERT_TRUE(count.ok());
+    ASSERT_EQ(*count, 11u);
+    bool saw_shifted = false;
+    for (uint32_t pre = 1; pre <= *count; ++pre) {
+      SCOPED_TRACE("slice " + std::to_string(slice) + " pre " +
+                   std::to_string(pre));
+      auto copied = store->GetByPre(pre);
+      ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+      storage::NodeRow visited;
+      ASSERT_TRUE(store
+                      ->VisitByPre(pre,
+                                   [&](const storage::NodeRow& row) {
+                                     visited = row;
+                                   })
+                      .ok());
+      EXPECT_EQ(visited.pre, pre);
+      EXPECT_EQ(visited.pre, copied->pre);
+      EXPECT_EQ(visited.post, copied->post);
+      EXPECT_EQ(visited.parent, copied->parent);
+      EXPECT_EQ(visited.nonce, copied->nonce);
+      EXPECT_EQ(visited.share, copied->share);
+      EXPECT_EQ(visited.sealed, copied->sealed);
+      // Sealed payloads, like the verification track, live on slice 0.
+      EXPECT_EQ(visited.sealed.empty(), slice != 0);
+      // Column-store layout: rows carry no blobs; GetColumns has them.
+      EXPECT_TRUE(copied->agg.empty());
+      EXPECT_TRUE(copied->verify.empty());
+      if (copied->nonce != 0 && copied->nonce < prg::kFirstMutationNonce) {
+        saw_shifted = true;
+      }
+      auto cols = store->GetColumns(pre);
+      ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+      EXPECT_EQ(agg::BlobValueCount(cols->agg), map.size());
+      EXPECT_EQ(agg::VerifyBlobValueCount(cols->verify),
+                slice == 0 ? map.size() : 0u);
+    }
+    EXPECT_TRUE(saw_shifted);
+  }
+  db->aggregation_engine()->set_verify(true);
+  EXPECT_EQ(Count(db.get(), "count(//book)"), 3u);
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 
 #include "storage/memory_backend.h"
 #include "storage/table.h"
+#include "test_helpers.h"
 #include "util/file_util.h"
 
 namespace ssdb::storage {
 namespace {
+
+using testing_helpers::MakeRow;
 
 // Both backends must satisfy the same contract; parameterize over them.
 enum class Backend { kMemory, kDisk };
@@ -25,16 +28,18 @@ class NodeStoreTest : public ::testing::TestWithParam<Backend> {
     return std::move(*store);
   }
 
-  // Tree used throughout:    1 (root)
-  //                         / \
-  //                        2   5
-  //                       / \    \
-  //                      3   4    6
+  // Tree used throughout (children indented under their parent):
+  //   1 (root)
+  //     2
+  //       3
+  //       4
+  //     5
+  //       6
   // pre/post: 1/(6), 2/(3), 3/(1), 4/(2), 5/(5), 6/(4)
   void FillTree(NodeStore* store) {
     auto insert = [&](uint32_t pre, uint32_t post, uint32_t parent) {
-      NodeRow row{pre, post, parent, "share" + std::to_string(pre)};
-      SSDB_CHECK_OK(store->Insert(row));
+      SSDB_CHECK_OK(store->Insert(
+          MakeRow(pre, post, parent, "share" + std::to_string(pre))));
     };
     insert(1, 6, 0);
     insert(2, 3, 1);
@@ -48,7 +53,7 @@ class NodeStoreTest : public ::testing::TestWithParam<Backend> {
 };
 
 TEST_P(NodeStoreTest, RowCodecRoundTrip) {
-  NodeRow row{12, 34, 5, std::string("\x01\x02\xff", 3)};
+  NodeRow row = MakeRow(12, 34, 5, std::string("\x01\x02\xff", 3));
   auto decoded = DecodeNodeRow(EncodeNodeRow(row));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, row);
@@ -69,9 +74,9 @@ TEST_P(NodeStoreTest, InsertAndLookup) {
 
 TEST_P(NodeStoreTest, RejectsDuplicatesAndZeroPre) {
   auto store = MakeStore("dups");
-  ASSERT_TRUE(store->Insert({1, 1, 0, "x"}).ok());
-  EXPECT_FALSE(store->Insert({1, 2, 0, "y"}).ok());
-  EXPECT_FALSE(store->Insert({0, 3, 0, "z"}).ok());
+  ASSERT_TRUE(store->Insert(MakeRow(1, 1, 0, "x")).ok());
+  EXPECT_FALSE(store->Insert(MakeRow(1, 2, 0, "y")).ok());
+  EXPECT_FALSE(store->Insert(MakeRow(0, 3, 0, "z")).ok());
 }
 
 TEST_P(NodeStoreTest, RootIsParentZero) {
@@ -150,8 +155,9 @@ TEST(DiskNodeStoreTest, PersistsAcrossReopen) {
     ASSERT_TRUE(store.ok());
     for (uint32_t i = 1; i <= 500; ++i) {
       ASSERT_TRUE((*store)
-                      ->Insert({i, 501 - i, i == 1 ? 0 : 1,
-                                std::string(70, static_cast<char>(i % 256))})
+                      ->Insert(MakeRow(i, 501 - i, i == 1 ? 0 : 1,
+                                       std::string(70, static_cast<char>(
+                                                           i % 256))))
                       .ok());
     }
     ASSERT_TRUE((*store)->Flush().ok());
@@ -175,7 +181,7 @@ TEST(DiskNodeStoreTest, CreateRefusesExistingDatabase) {
   {
     auto store = DiskNodeStore::Create(path);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Insert({1, 1, 0, "x"}).ok());
+    ASSERT_TRUE((*store)->Insert(MakeRow(1, 1, 0, "x")).ok());
   }
   EXPECT_FALSE(DiskNodeStore::Create(path).ok());
 }
@@ -186,7 +192,9 @@ TEST(DiskNodeStoreTest, DiskStatsSeparateDataAndIndex) {
   ASSERT_TRUE(store.ok());
   for (uint32_t i = 1; i <= 2000; ++i) {
     ASSERT_TRUE(
-        (*store)->Insert({i, i, i == 1 ? 0 : 1, std::string(72, 'p')}).ok());
+        (*store)
+            ->Insert(MakeRow(i, i, i == 1 ? 0 : 1, std::string(72, 'p')))
+            .ok());
   }
   auto stats = (*store)->Stats();
   ASSERT_TRUE(stats.ok());

@@ -21,6 +21,18 @@
 
 namespace ssdb::testing_helpers {
 
+// A row with only the fixed columns and a share set; the blob fields and
+// the nonce keep their defaults.
+inline storage::NodeRow MakeRow(uint32_t pre, uint32_t post, uint32_t parent,
+                                std::string share) {
+  storage::NodeRow row;
+  row.pre = pre;
+  row.post = post;
+  row.parent = parent;
+  row.share = std::move(share);
+  return row;
+}
+
 struct TestDb {
   gf::Field field;
   gf::Ring ring;

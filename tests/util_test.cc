@@ -83,6 +83,57 @@ TEST(BitpackTest, RoundTripVariousWidths) {
   }
 }
 
+// The bit-at-a-time packer and unpacker PackVector/UnpackVector replaced,
+// kept as the reference their word-buffered versions must match byte for
+// byte.
+std::string ReferencePack(const std::vector<uint32_t>& values, int bits) {
+  BitWriter writer;
+  for (uint32_t v : values) writer.Write(v, bits);
+  return writer.Finish();
+}
+
+StatusOr<std::vector<uint32_t>> ReferenceUnpack(std::string_view data,
+                                                int bits, size_t count) {
+  BitReader reader(data);
+  std::vector<uint32_t> values;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t v = 0;
+    SSDB_RETURN_IF_ERROR(reader.Read(bits, &v));
+    values.push_back(static_cast<uint32_t>(v));
+  }
+  return values;
+}
+
+TEST(BitpackTest, WordBufferedMatchesBitAtATimeReference) {
+  Random rng(97);
+  for (int bits = 1; bits <= 32; ++bits) {
+    for (size_t count : {0u, 1u, 3u, 7u, 28u, 33u, 82u, 255u}) {
+      std::vector<uint32_t> values;
+      for (size_t i = 0; i < count; ++i) {
+        // Full 32-bit values: the packer must mask off the high bits just
+        // like the reference writer does.
+        values.push_back(static_cast<uint32_t>(rng.Next()));
+      }
+      std::string packed = PackVector(values, bits);
+      ASSERT_EQ(packed, ReferencePack(values, bits))
+          << "bits=" << bits << " count=" << count;
+      auto unpacked = UnpackVector(packed, bits, count);
+      auto reference = ReferenceUnpack(packed, bits, count);
+      ASSERT_TRUE(unpacked.ok());
+      ASSERT_TRUE(reference.ok());
+      EXPECT_EQ(*unpacked, *reference) << "bits=" << bits;
+      if (count > 0) {
+        // One byte short of the last value: both report OutOfRange.
+        std::string_view shorter(packed.data(), (count * bits - 1) / 8);
+        EXPECT_EQ(UnpackVector(shorter, bits, count).status().code(),
+                  StatusCode::kOutOfRange);
+        EXPECT_EQ(ReferenceUnpack(shorter, bits, count).status().code(),
+                  StatusCode::kOutOfRange);
+      }
+    }
+  }
+}
+
 TEST(BitpackTest, ReaderOutOfRange) {
   BitReader reader("a");  // 8 bits
   uint64_t v;
