@@ -11,6 +11,7 @@
 #include "gf/dft.h"
 #include "gf/ring.h"
 #include "mapping/tag_map.h"
+#include "prg/chacha.h"
 #include "prg/prg.h"
 #include "storage/memory_backend.h"
 #include "util/random.h"
@@ -146,8 +147,55 @@ void BM_PrgClientShare(benchmark::State& state) {
 }
 BENCHMARK(BM_PrgClientShare);
 
+void BM_ChaChaBlock(benchmark::State& state) {
+  // One 64-byte block: the cost of a position jump that lands mid-block.
+  std::array<uint8_t, prg::kChaChaKeyBytes> key{};
+  std::array<uint8_t, prg::kChaChaBlockBytes> block;
+  uint64_t counter = 0;
+  for (auto _ : state) {
+    prg::ChaCha20Block(key, ++counter, 7, &block);
+    benchmark::DoNotOptimize(block);
+  }
+  state.SetBytesProcessed(state.iterations() * prg::kChaChaBlockBytes);
+}
+BENCHMARK(BM_ChaChaBlock);
+
+void BM_ChaChaLanes(benchmark::State& state) {
+  // Four blocks in one lane call: a stream refill (or one block of four
+  // frontier nonces).
+  std::array<uint8_t, prg::kChaChaKeyBytes> key{};
+  std::array<uint8_t, prg::kChaChaLaneBytes> blocks;
+  uint64_t counter = 0;
+  for (auto _ : state) {
+    counter += 4;
+    prg::ChaCha20Lanes(key, {counter, counter + 1, counter + 2, counter + 3},
+                       {7, 7, 7, 7}, &blocks);
+    benchmark::DoNotOptimize(blocks);
+  }
+  state.SetBytesProcessed(state.iterations() * prg::kChaChaLaneBytes);
+}
+BENCHMARK(BM_ChaChaLanes);
+
+void BM_PrgMaskSums(benchmark::State& state) {
+  // The client's aggregate mask removal over a 155-node frontier × 7 words
+  // (one selected column across 7 group values of a 77-tag map): the
+  // ledger agg workload's mean frontier.
+  prg::Prg prg(prg::Seed::FromUint64(6));
+  std::vector<uint64_t> nonces;
+  for (uint64_t pre = 1; nonces.size() < 155; pre += 13) nonces.push_back(pre);
+  std::vector<size_t> offsets;
+  for (size_t w = 0; w < 7; ++w) offsets.push_back((3 * 77 + 11 * w) * 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prg.FrontierMaskSums(
+        prg::Prg::MaskStream::kAggColumns, 0, nonces, offsets, 4));
+  }
+}
+BENCHMARK(BM_PrgMaskSums);
+
 void BM_EncodeDocument(benchmark::State& state) {
-  // End-to-end encoder: eval-domain (arg 1) vs coefficient-domain (arg 0).
+  // End-to-end encoder: eval-domain (arg 1) vs coefficient-domain (arg 0);
+  // the second arg adds the §9 verification track (PRG-bound: two more
+  // mask words per aggregate word).
   xmark::GeneratorOptions gen;
   gen.target_bytes = 64 << 10;
   std::string xml = xmark::GenerateAuctionDocument(gen).xml;
@@ -164,6 +212,7 @@ void BM_EncodeDocument(benchmark::State& state) {
   auto map = *mapping::TagMap::FromNames(names, field);
   encode::EncodeOptions options;
   options.use_eval_domain = state.range(0) == 1;
+  options.verify_aggregate = state.range(1) == 1;
   uint64_t nodes = 0;
   for (auto _ : state) {
     storage::MemoryNodeStore store;
@@ -175,7 +224,12 @@ void BM_EncodeDocument(benchmark::State& state) {
   }
   state.counters["nodes"] = static_cast<double>(nodes);
 }
-BENCHMARK(BM_EncodeDocument)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EncodeDocument)
+    ->ArgNames({"eval_domain", "verify_aggregate"})
+    ->Args({1, 0})
+    ->Args({0, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ssdb

@@ -14,12 +14,22 @@ namespace {
 // server buffers the rest (§5.2).
 constexpr size_t kCursorBatch = 64;
 
-// The (pre, effective share nonce) pairs of a spec's frontier, sorted by
-// pre and deduped — the canonical order both the server fold and the client
-// mask walk iterate in. A missing or zero nonce entry means "the pre
-// number" (the unmutated default, DESIGN.md §12).
-std::vector<std::pair<uint32_t, uint64_t>> CanonicalFrontier(
-    const agg::Spec& spec) {
+// Validates `spec` and canonicalizes its frontier: (pre, effective share
+// nonce) pairs sorted by pre and deduped, so the server fold and the client
+// mask sums cover exactly the same node set. Nonces travel with their pres:
+// the mask sums are keyed by nonce, the server fold by pre. A missing or
+// zero nonce entry means "the pre number" (the unmutated default, DESIGN.md
+// §12).
+StatusOr<agg::Spec> CanonicalSpec(const agg::Spec& spec) {
+  SSDB_RETURN_IF_ERROR(agg::ValidateSpec(spec));
+  if (spec.value_count == 0) {
+    return Status::InvalidArgument("aggregate spec needs the map size");
+  }
+  for (uint32_t index : spec.value_indexes) {
+    if (index >= spec.value_count) {
+      return Status::InvalidArgument("aggregate value index out of range");
+    }
+  }
   std::vector<std::pair<uint32_t, uint64_t>> frontier;
   frontier.reserve(spec.pres.size());
   for (size_t i = 0; i < spec.pres.size(); ++i) {
@@ -33,7 +43,51 @@ std::vector<std::pair<uint32_t, uint64_t>> CanonicalFrontier(
                                return a.first == b.first;
                              }),
                  frontier.end());
-  return frontier;
+  agg::Spec canonical = spec;
+  canonical.pres.clear();
+  canonical.nonces.clear();
+  for (const auto& [pre, nonce] : frontier) {
+    canonical.pres.push_back(pre);
+    canonical.nonces.push_back(nonce);
+  }
+  return canonical;
+}
+
+// The (word index, group) pairs a spec's masks cover, in ascending word
+// order: every selected column of every group value.
+std::vector<std::pair<size_t, size_t>> WantedWords(const agg::Spec& spec) {
+  std::vector<std::pair<size_t, size_t>> wanted;
+  for (size_t g = 0; g < spec.value_indexes.size(); ++g) {
+    for (size_t c = 0; c < agg::kColCount; ++c) {
+      if ((spec.columns & (1u << c)) == 0) continue;
+      wanted.emplace_back(agg::WordIndex(static_cast<agg::Col>(c),
+                                         spec.value_count,
+                                         spec.value_indexes[g]),
+                          g);
+    }
+  }
+  std::sort(wanted.begin(), wanted.end());
+  return wanted;
+}
+
+// Per-group 32-bit totals of the frontier's aggregate mask words of slice
+// `slice` at `wanted` (DESIGN.md §8).
+std::vector<agg::Word> AggMaskTotals(
+    const prg::Prg& prg, uint32_t slice, const std::vector<uint64_t>& nonces,
+    const std::vector<std::pair<size_t, size_t>>& wanted, size_t groups) {
+  std::vector<size_t> offsets;
+  offsets.reserve(wanted.size());
+  for (const auto& [index, group] : wanted) {
+    offsets.push_back(index * sizeof(agg::Word));
+  }
+  std::vector<uint64_t> sums = prg.FrontierMaskSums(
+      prg::Prg::MaskStream::kAggColumns, slice, nonces, offsets,
+      sizeof(agg::Word));
+  std::vector<agg::Word> totals(groups, 0);
+  for (size_t j = 0; j < wanted.size(); ++j) {
+    totals[wanted[j].second] += static_cast<agg::Word>(sums[j]);
+  }
+  return totals;
 }
 
 }  // namespace
@@ -137,27 +191,7 @@ gf::Elem ClientFilter::EvalClientShare(const NodeMeta& node,
 
 StatusOr<std::vector<agg::Word>> ClientFilter::Aggregate(
     const agg::Spec& spec) {
-  SSDB_RETURN_IF_ERROR(agg::ValidateSpec(spec));
-  if (spec.value_count == 0) {
-    return Status::InvalidArgument("aggregate spec needs the map size");
-  }
-  for (uint32_t index : spec.value_indexes) {
-    if (index >= spec.value_count) {
-      return Status::InvalidArgument("aggregate value index out of range");
-    }
-  }
-  // Canonicalize the frontier once so the server fold and the client mask
-  // sum cover exactly the same node set. Nonces travel with their pres: the
-  // mask walk below is keyed by nonce, the server fold by pre (§12).
-  std::vector<std::pair<uint32_t, uint64_t>> frontier =
-      CanonicalFrontier(spec);
-  agg::Spec canonical = spec;
-  canonical.pres.clear();
-  canonical.nonces.clear();
-  for (const auto& [pre, nonce] : frontier) {
-    canonical.pres.push_back(pre);
-    canonical.nonces.push_back(nonce);
-  }
+  SSDB_ASSIGN_OR_RETURN(agg::Spec canonical, CanonicalSpec(spec));
 
   TripScope trips(this);
   ++stats_.server_calls;
@@ -168,60 +202,17 @@ StatusOr<std::vector<agg::Word>> ClientFilter::Aggregate(
     return Status::Internal("PartialAggregate group count mismatch");
   }
 
-  // Remove the client's masks: for each frontier node, the mask stream
-  // words at every (selected column, group value) position. Word positions
-  // are visited in ascending order so each node costs one skip-walk of its
-  // ChaCha stream — O(selected words), not O(7T).
-  std::vector<std::pair<size_t, size_t>> wanted;  // (word index, group)
-  for (size_t g = 0; g < canonical.value_indexes.size(); ++g) {
-    for (size_t c = 0; c < agg::kColCount; ++c) {
-      if ((canonical.columns & (1u << c)) == 0) continue;
-      wanted.emplace_back(
-          agg::WordIndex(static_cast<agg::Col>(c), spec.value_count,
-                         canonical.value_indexes[g]),
-          g);
-    }
-  }
-  std::sort(wanted.begin(), wanted.end());
-  for (const auto& [pre, nonce] : frontier) {
-    prg::Prg::Stream stream = prg_.StreamForAggColumns(nonce, 0);
-    size_t position = 0;           // bytes consumed from the stream
-    size_t last_byte = SIZE_MAX;   // last word offset read (duplicates)
-    agg::Word word = 0;
-    for (const auto& [index, group] : wanted) {
-      size_t byte = index * sizeof(agg::Word);
-      if (byte != last_byte) {
-        stream.Skip(byte - position);
-        word = stream.NextUint32();
-        position = byte + sizeof(agg::Word);
-        last_byte = byte;
-      }
-      totals[group] += word;
-    }
-  }
+  // Remove the client's masks: the frontier's mask stream words at every
+  // (selected column, group value) position — O(selected words) per node.
+  std::vector<agg::Word> masks = AggMaskTotals(
+      prg_, 0, canonical.nonces, WantedWords(canonical), totals.size());
+  for (size_t g = 0; g < totals.size(); ++g) totals[g] += masks[g];
   return totals;
 }
 
 StatusOr<ClientFilter::VerifiedAggregate> ClientFilter::AggregateVerified(
     const agg::Spec& spec) {
-  SSDB_RETURN_IF_ERROR(agg::ValidateSpec(spec));
-  if (spec.value_count == 0) {
-    return Status::InvalidArgument("aggregate spec needs the map size");
-  }
-  for (uint32_t index : spec.value_indexes) {
-    if (index >= spec.value_count) {
-      return Status::InvalidArgument("aggregate value index out of range");
-    }
-  }
-  std::vector<std::pair<uint32_t, uint64_t>> frontier =
-      CanonicalFrontier(spec);
-  agg::Spec canonical = spec;
-  canonical.pres.clear();
-  canonical.nonces.clear();
-  for (const auto& [pre, nonce] : frontier) {
-    canonical.pres.push_back(pre);
-    canonical.nonces.push_back(nonce);
-  }
+  SSDB_ASSIGN_OR_RETURN(agg::Spec canonical, CanonicalSpec(spec));
   const size_t groups = canonical.value_indexes.size();
 
   // An empty frontier aggregates nothing: the zero answer is trivially
@@ -261,42 +252,15 @@ StatusOr<ClientFilter::VerifiedAggregate> ClientFilter::AggregateVerified(
         "ssdb_encode --verify-agg; DESIGN.md §9)");
   }
 
-  // Same word-position walk as Aggregate: (word index, group) pairs in
-  // ascending order so every stream is consumed in one skip-walk.
-  std::vector<std::pair<size_t, size_t>> wanted;  // (word index, group)
-  for (size_t g = 0; g < groups; ++g) {
-    for (size_t c = 0; c < agg::kColCount; ++c) {
-      if ((canonical.columns & (1u << c)) == 0) continue;
-      wanted.emplace_back(
-          agg::WordIndex(static_cast<agg::Col>(c), spec.value_count,
-                         canonical.value_indexes[g]),
-          g);
-    }
-  }
-  std::sort(wanted.begin(), wanted.end());
+  const std::vector<std::pair<size_t, size_t>> wanted =
+      WantedWords(canonical);
 
   // Check 1 — slices i >= 1 are deterministic: their stored words are
   // exactly the client's own PRG stream words (DESIGN.md §9), so any
   // deviation identifies that server with certainty.
   for (size_t i = 1; i < entries.size(); ++i) {
-    std::vector<agg::Word> expected(groups, 0);
-    for (const auto& [pre, nonce] : frontier) {
-      prg::Prg::Stream stream = prg_.StreamForAggColumns(nonce, i);
-      size_t position = 0;
-      size_t last_byte = SIZE_MAX;
-      agg::Word word = 0;
-      for (const auto& [index, group] : wanted) {
-        size_t byte = index * sizeof(agg::Word);
-        if (byte != last_byte) {
-          stream.Skip(byte - position);
-          word = stream.NextUint32();
-          position = byte + sizeof(agg::Word);
-          last_byte = byte;
-        }
-        expected[group] += word;
-      }
-    }
-    if (expected != entries[i].words) {
+    if (AggMaskTotals(prg_, static_cast<uint32_t>(i), canonical.nonces,
+                      wanted, groups) != entries[i].words) {
       return Status::Corruption("aggregate verification failed: server " +
                                 std::to_string(i) +
                                 " returned a tampered partial");
@@ -306,35 +270,22 @@ StatusOr<ClientFilter::VerifiedAggregate> ClientFilter::AggregateVerified(
   // Client mask sums over the frontier: the 32-bit answer masks (the same
   // stream Aggregate removes) and the verification-track masks — one
   // 16-byte record (wide then proof) per aggregate word (DESIGN.md §9).
-  std::vector<agg::Word> c32(groups, 0);
+  std::vector<agg::Word> c32 =
+      AggMaskTotals(prg_, 0, canonical.nonces, wanted, groups);
+  std::vector<size_t> record_offsets;
+  record_offsets.reserve(2 * wanted.size());
+  for (const auto& [index, group] : wanted) {
+    record_offsets.push_back(index * 2 * sizeof(uint64_t));
+    record_offsets.push_back(index * 2 * sizeof(uint64_t) + sizeof(uint64_t));
+  }
+  std::vector<uint64_t> record_sums = prg_.FrontierMaskSums(
+      prg::Prg::MaskStream::kVerifyColumns, 0, canonical.nonces,
+      record_offsets, sizeof(uint64_t));
   std::vector<uint64_t> cw(groups, 0);
   std::vector<uint64_t> cp(groups, 0);
-  for (const auto& [pre, nonce] : frontier) {
-    prg::Prg::Stream stream = prg_.StreamForAggColumns(nonce, 0);
-    prg::Prg::Stream vstream = prg_.StreamForVerifyColumns(nonce);
-    size_t position = 0;
-    size_t vposition = 0;
-    size_t last_byte = SIZE_MAX;
-    agg::Word word = 0;
-    uint64_t wide_mask = 0;
-    uint64_t proof_mask = 0;
-    for (const auto& [index, group] : wanted) {
-      size_t byte = index * sizeof(agg::Word);
-      if (byte != last_byte) {
-        stream.Skip(byte - position);
-        word = stream.NextUint32();
-        position = byte + sizeof(agg::Word);
-        size_t vbyte = index * 2 * sizeof(uint64_t);
-        vstream.Skip(vbyte - vposition);
-        wide_mask = vstream.NextUint64();
-        proof_mask = vstream.NextUint64();
-        vposition = vbyte + 2 * sizeof(uint64_t);
-        last_byte = byte;
-      }
-      c32[group] += word;
-      cw[group] += wide_mask;
-      cp[group] += proof_mask;
-    }
+  for (size_t j = 0; j < wanted.size(); ++j) {
+    cw[wanted[j].second] += record_sums[2 * j];
+    cp[wanted[j].second] += record_sums[2 * j + 1];
   }
 
   // Checks 2 and 3 — the keyed checksum over the wide answer, then the

@@ -24,6 +24,9 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "gf/field.h"
 #include "gf/ring.h"
@@ -43,18 +46,31 @@ class Prg {
   explicit Prg(const Seed& seed);
 
   // An independent deterministic byte/element stream for one node.
+  //
+  // Reads come out of a buffer of up to four consecutive ChaCha20 blocks:
+  // a sequential refill computes the next four blocks in one lane call
+  // (ChaCha20Lanes), so samplers and word reads are loads from memory. The
+  // bytes are exactly the keystream of (key, nonce) from block 0 on —
+  // buffering changes when blocks are computed, never which bytes come out.
   class Stream {
    public:
     Stream(const std::array<uint8_t, kChaChaKeyBytes>& key, uint64_t nonce);
 
     uint8_t NextByte();
+    // Little-endian words of the next 4 / 8 keystream bytes.
     uint32_t NextUint32();
     uint64_t NextUint64();
 
     // Advances the stream by `bytes` positions without materializing them.
     // ChaCha20 is a counter-mode cipher, so skipping whole blocks is a
-    // counter jump — random access into a node's mask stream is O(1).
+    // counter jump — random access into a node's mask stream is O(1). A
+    // jump within the buffer moves the read offset; a jump past it that
+    // lands mid-block computes that one block (ChaCha20Block), and one that
+    // lands on a block boundary computes nothing until the next read.
     void Skip(size_t bytes);
+
+    // XORs the next `length` keystream bytes into `data`.
+    void XorBytes(char* data, size_t length);
 
     // Uniform field element via rejection sampling (no modulo bias).
     gf::Elem NextElem(const gf::Field& field);
@@ -63,13 +79,23 @@ class Prg {
     gf::RingElem NextRingElem(const gf::Ring& ring);
 
    private:
+    // Buffers the next four blocks (one lane call).
     void Refill();
+    template <typename Word>
+    Word NextWord();
+    // Fills out[0..count) by rejection sampling: bit_width-sized draws
+    // (one byte for widths <= 8, two little-endian bytes for 9-16), each
+    // accepted iff below q — the draw order the stored shares depend on.
+    void Sample(const gf::Field& field, gf::Elem* out, size_t count);
+    template <size_t kDrawBytes>
+    void SampleDraws(uint32_t q, uint32_t mask, gf::Elem* out, size_t count);
 
     std::array<uint8_t, kChaChaKeyBytes> key_;
     uint64_t nonce_;
-    uint64_t counter_ = 0;
-    std::array<uint8_t, kChaChaBlockBytes> block_;
-    size_t offset_ = kChaChaBlockBytes;  // forces refill on first use
+    uint64_t counter_ = 0;  // block counter of the first unbuffered block
+    std::array<uint8_t, kChaChaLaneBytes> buffer_;
+    size_t offset_ = 0;  // next byte to read from buffer_
+    size_t end_ = 0;     // buffered bytes (a multiple of the block size)
   };
 
   Stream StreamForNode(uint64_t pre) const;
@@ -104,6 +130,24 @@ class Prg {
   // (DESIGN.md §9): a uniform uint64 drawn from the bits 60+61 nonce
   // subspace, position-addressed so any single key is an O(1) counter jump.
   uint64_t AggVerifyKey(uint32_t value_index) const;
+
+  // The mask streams a frontier sum can read: StreamForAggColumns(·, slice)
+  // or StreamForVerifyColumns(·).
+  enum class MaskStream { kAggColumns, kVerifyColumns };
+
+  // Frontier-wide mask sums (DESIGN.md §8, §9): sums[j] is the sum, over
+  // every nonce in `nonces`, of the little-endian `word_bytes`-byte word
+  // (4 or 8) at byte offsets[j] of that nonce's `stream` — exactly what a
+  // Skip/NextUint32|64 walk of each node's stream would add up, mod 2^64
+  // (a 4-byte caller keeps the low 32 bits). Offsets must be multiples of
+  // `word_bytes`; repeats are allowed, and ascending offsets share a block.
+  // Each lane call computes the same block for four nonces, so a frontier
+  // costs about a quarter of its per-node walks. `slice` must be 0 for the
+  // verify stream.
+  std::vector<uint64_t> FrontierMaskSums(MaskStream stream, uint32_t slice,
+                                         const std::vector<uint64_t>& nonces,
+                                         const std::vector<size_t>& offsets,
+                                         size_t word_bytes) const;
 
   // Keystream for the node's sealed payload (§4 extension). Domain-separated
   // from the share stream by the nonce's high bit, so payload bytes never
