@@ -13,12 +13,12 @@
 // BENCH_JSON line. The scaling win of the worker pool is measured here,
 // not asserted.
 //
-// Third section: high-connection dispatch cost by poller backend
+// Third section: high-connection dispatch cost of the epoll backend
 // (rpc/event_poller.h) — 64/256/1024 mostly-idle connections parked on
 // one server while a hot subset of 8 clients runs queries; reports qps,
-// p50/p99, and the dispatcher's wake cost (interest-set entries scanned
-// per wake: O(ready) for epoll, O(open connections) for the poll
-// fallback), plus a third BENCH_JSON line.
+// p50/p99, and the dispatcher's wake cost (ready events scanned per wake,
+// which should stay flat as idle connections grow), plus a third
+// BENCH_JSON line.
 //
 // Fourth section: slow-reader resilience (DESIGN.md §7) — K in {0, 4, 16}
 // stalled readers hold unread batched responses (tiny SO_SNDBUF forces
@@ -29,8 +29,8 @@
 //
 // Fifth section: sharded-dispatch contention — tiny EvalAt ops (dispatch
 // cost dominates) from 8/32 hot clients with an idle herd filling the
-// connection count to 64/1024, per poller backend; reports ops/sec,
-// p50/p99 per op, and the deepest per-worker ready-queue.
+// connection count to 64/1024; reports ops/sec, p50/p99 per op, and the
+// deepest per-worker ready-queue.
 //
 // Sixth section: health-probe overhead (DESIGN.md §11) — the same hot
 // query workload with the control-plane monitor off vs. probing the
@@ -268,7 +268,7 @@ void PrintClientScalingJson(const std::string& query,
   std::printf("]}\n");
 }
 
-// --- high-connection dispatch cost by poller backend ------------------------
+// --- high-connection dispatch cost ------------------------------------------
 
 struct PollerScalingRow {
   std::string poller;
@@ -299,74 +299,66 @@ void RunPollerScaling(BenchDb* db, const std::string& query,
   const uint64_t fd_cap = RaiseFdLimit();
   const uint32_t hot_clients = 8;
   const uint32_t per_client = 4;
-  std::vector<rpc::PollerBackend> backends{rpc::PollerBackend::kPoll};
-  if (rpc::EpollAvailable()) {
-    backends.push_back(rpc::PollerBackend::kEpoll);
-  }
-  for (rpc::PollerBackend backend : backends) {
-    for (uint32_t idle : {64u, 256u, 1024u}) {
-      // Both endpoints of every connection live in this process, plus
-      // headroom for the database, listener, and hot clients.
-      if (2 * (idle + hot_clients) + 128 > fd_cap) {
-        std::printf("(skipping %s/%u idle connections: fd limit %llu)\n",
-                    rpc::PollerBackendName(backend), idle,
-                    static_cast<unsigned long long>(fd_cap));
-        continue;
-      }
-      std::string path = "/tmp/ssdb_bench_hc_" + std::to_string(::getpid()) +
-                         ".sock";
-      auto listener = *rpc::UnixServerSocket::Listen(path);
-      rpc::ConcurrentServerOptions options;
-      options.poller = backend;
-      rpc::ConcurrentServer server(db->db->ring(), db->db->server_filter(),
-                                   std::move(listener), options);
-      SSDB_CHECK_OK(server.Start());
-
-      // Park the idle herd first; each connection is registered once and
-      // then never becomes readable again.
-      std::vector<std::unique_ptr<rpc::Channel>> idle_conns;
-      idle_conns.reserve(idle);
-      while (idle_conns.size() < idle) {
-        auto channel = rpc::ConnectUnix(path);
-        if (!channel.ok()) {  // listen backlog full; let the accept
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          continue;           // loop drain it and retry
-        }
-        idle_conns.push_back(std::move(*channel));
-      }
-      while (server.Snapshot().open_connections < idle) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-
-      const uint64_t wakes_before = server.Snapshot().poller_wakeups;
-      const uint64_t scanned_before = server.Snapshot().poller_items_scanned;
-      ClientScalingRow hot = RunMultiClientCell(db, {path}, hot_clients,
-                                                per_client, query);
-      const uint64_t wakes = server.Snapshot().poller_wakeups - wakes_before;
-      const uint64_t scanned =
-          server.Snapshot().poller_items_scanned - scanned_before;
-
-      PollerScalingRow row;
-      row.poller = server.poller_name();
-      row.idle_conns = idle;
-      row.hot_clients = hot_clients;
-      row.queries = hot.queries;
-      row.qps = hot.qps;
-      row.p50_ms = hot.p50_ms;
-      row.p99_ms = hot.p99_ms;
-      row.wakes = wakes;
-      row.scanned_per_wake =
-          wakes > 0 ? static_cast<double>(scanned) / wakes : 0;
-      std::printf("%-8s %-12u %-10u %-12.1f %-12.3f %-12.3f %-10llu %-14.1f\n",
-                  row.poller.c_str(), row.idle_conns, row.hot_clients,
-                  row.qps, row.p50_ms, row.p99_ms,
-                  static_cast<unsigned long long>(row.wakes),
-                  row.scanned_per_wake);
-      rows->push_back(row);
-
-      idle_conns.clear();
-      server.Shutdown();
+  for (uint32_t idle : {64u, 256u, 1024u}) {
+    // Both endpoints of every connection live in this process, plus
+    // headroom for the database, listener, and hot clients.
+    if (2 * (idle + hot_clients) + 128 > fd_cap) {
+      std::printf("(skipping %u idle connections: fd limit %llu)\n", idle,
+                  static_cast<unsigned long long>(fd_cap));
+      continue;
     }
+    std::string path = "/tmp/ssdb_bench_hc_" + std::to_string(::getpid()) +
+                       ".sock";
+    auto listener = *rpc::UnixServerSocket::Listen(path);
+    rpc::ConcurrentServerOptions options;
+    rpc::ConcurrentServer server(db->db->ring(), db->db->server_filter(),
+                                 std::move(listener), options);
+    SSDB_CHECK_OK(server.Start());
+
+    // Park the idle herd first; each connection is registered once and
+    // then never becomes readable again.
+    std::vector<std::unique_ptr<rpc::Channel>> idle_conns;
+    idle_conns.reserve(idle);
+    while (idle_conns.size() < idle) {
+      auto channel = rpc::ConnectUnix(path);
+      if (!channel.ok()) {  // listen backlog full; let the accept
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        continue;           // loop drain it and retry
+      }
+      idle_conns.push_back(std::move(*channel));
+    }
+    while (server.Snapshot().open_connections < idle) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    const uint64_t wakes_before = server.Snapshot().poller_wakeups;
+    const uint64_t scanned_before = server.Snapshot().poller_items_scanned;
+    ClientScalingRow hot = RunMultiClientCell(db, {path}, hot_clients,
+                                              per_client, query);
+    const uint64_t wakes = server.Snapshot().poller_wakeups - wakes_before;
+    const uint64_t scanned =
+        server.Snapshot().poller_items_scanned - scanned_before;
+
+    PollerScalingRow row;
+    row.poller = server.poller_name();
+    row.idle_conns = idle;
+    row.hot_clients = hot_clients;
+    row.queries = hot.queries;
+    row.qps = hot.qps;
+    row.p50_ms = hot.p50_ms;
+    row.p99_ms = hot.p99_ms;
+    row.wakes = wakes;
+    row.scanned_per_wake =
+        wakes > 0 ? static_cast<double>(scanned) / wakes : 0;
+    std::printf("%-8s %-12u %-10u %-12.1f %-12.3f %-12.3f %-10llu %-14.1f\n",
+                row.poller.c_str(), row.idle_conns, row.hot_clients,
+                row.qps, row.p50_ms, row.p99_ms,
+                static_cast<unsigned long long>(row.wakes),
+                row.scanned_per_wake);
+    rows->push_back(row);
+
+    idle_conns.clear();
+    server.Shutdown();
   }
 }
 
@@ -507,89 +499,81 @@ struct DispatchRow {
 void RunDispatchContention(BenchDb* db, std::vector<DispatchRow>* rows) {
   const uint64_t fd_cap = RaiseFdLimit();
   const uint32_t per_client = 64;  // tiny ops: dispatch cost dominates
-  std::vector<rpc::PollerBackend> backends{rpc::PollerBackend::kPoll};
-  if (rpc::EpollAvailable()) {
-    backends.push_back(rpc::PollerBackend::kEpoll);
-  }
   struct Cell {
     uint32_t conns;
     uint32_t hot;
   };
-  for (rpc::PollerBackend backend : backends) {
-    for (Cell cell : {Cell{64, 8}, Cell{1024, 32}}) {
-      if (2 * cell.conns + 128 > fd_cap) {
-        std::printf("(skipping %s/%u connections: fd limit %llu)\n",
-                    rpc::PollerBackendName(backend), cell.conns,
-                    static_cast<unsigned long long>(fd_cap));
+  for (Cell cell : {Cell{64, 8}, Cell{1024, 32}}) {
+    if (2 * cell.conns + 128 > fd_cap) {
+      std::printf("(skipping %u connections: fd limit %llu)\n", cell.conns,
+                  static_cast<unsigned long long>(fd_cap));
+      continue;
+    }
+    std::string path =
+        "/tmp/ssdb_bench_dc_" + std::to_string(::getpid()) + ".sock";
+    auto listener = *rpc::UnixServerSocket::Listen(path);
+    rpc::ConcurrentServerOptions options;
+    rpc::ConcurrentServer server(db->db->ring(), db->db->server_filter(),
+                                 std::move(listener), options);
+    SSDB_CHECK_OK(server.Start());
+
+    const uint32_t idle = cell.conns - cell.hot;
+    std::vector<std::unique_ptr<rpc::Channel>> idle_conns;
+    idle_conns.reserve(idle);
+    while (idle_conns.size() < idle) {
+      auto channel = rpc::ConnectUnix(path);
+      if (!channel.ok()) {  // listen backlog full; let accept drain it
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
         continue;
       }
-      std::string path =
-          "/tmp/ssdb_bench_dc_" + std::to_string(::getpid()) + ".sock";
-      auto listener = *rpc::UnixServerSocket::Listen(path);
-      rpc::ConcurrentServerOptions options;
-      options.poller = backend;
-      rpc::ConcurrentServer server(db->db->ring(), db->db->server_filter(),
-                                   std::move(listener), options);
-      SSDB_CHECK_OK(server.Start());
-
-      const uint32_t idle = cell.conns - cell.hot;
-      std::vector<std::unique_ptr<rpc::Channel>> idle_conns;
-      idle_conns.reserve(idle);
-      while (idle_conns.size() < idle) {
-        auto channel = rpc::ConnectUnix(path);
-        if (!channel.ok()) {  // listen backlog full; let accept drain it
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          continue;
-        }
-        idle_conns.push_back(std::move(*channel));
-      }
-      while (server.Snapshot().open_connections < idle) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-
-      std::vector<std::vector<double>> latencies(cell.hot);
-      Stopwatch wall;
-      std::vector<std::thread> threads;
-      threads.reserve(cell.hot);
-      for (uint32_t c = 0; c < cell.hot; ++c) {
-        threads.emplace_back([db, &path, &latencies, per_client, c] {
-          rpc::RemoteServerFilter remote(db->db->ring(),
-                                         *rpc::ConnectUnix(path));
-          latencies[c].reserve(per_client);
-          for (uint32_t i = 0; i < per_client; ++i) {
-            Stopwatch one;
-            SSDB_CHECK(remote.EvalAt(2, 5).ok());
-            latencies[c].push_back(one.ElapsedSeconds());
-          }
-          SSDB_CHECK_OK(remote.Shutdown());
-        });
-      }
-      for (std::thread& thread : threads) thread.join();
-      const double wall_s = wall.ElapsedSeconds();
-
-      std::vector<double> all;
-      for (const auto& per_thread : latencies) {
-        all.insert(all.end(), per_thread.begin(), per_thread.end());
-      }
-      std::sort(all.begin(), all.end());
-      DispatchRow row;
-      row.poller = server.poller_name();
-      row.conns = cell.conns;
-      row.hot_clients = cell.hot;
-      row.ops = all.size();
-      row.qps = wall_s > 0 ? static_cast<double>(all.size()) / wall_s : 0;
-      row.p50_ms = all[all.size() / 2] * 1e3;
-      row.p99_ms = all[std::min(all.size() - 1, all.size() * 99 / 100)] * 1e3;
-      row.queue_depth_peak = server.Snapshot().queue_depth_peak;
-      std::printf("%-8s %-10u %-10u %-12.1f %-12.3f %-12.3f %-12llu\n",
-                  row.poller.c_str(), row.conns, row.hot_clients, row.qps,
-                  row.p50_ms, row.p99_ms,
-                  static_cast<unsigned long long>(row.queue_depth_peak));
-      rows->push_back(row);
-
-      idle_conns.clear();
-      server.Shutdown();
+      idle_conns.push_back(std::move(*channel));
     }
+    while (server.Snapshot().open_connections < idle) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    std::vector<std::vector<double>> latencies(cell.hot);
+    Stopwatch wall;
+    std::vector<std::thread> threads;
+    threads.reserve(cell.hot);
+    for (uint32_t c = 0; c < cell.hot; ++c) {
+      threads.emplace_back([db, &path, &latencies, per_client, c] {
+        rpc::RemoteServerFilter remote(db->db->ring(),
+                                       *rpc::ConnectUnix(path));
+        latencies[c].reserve(per_client);
+        for (uint32_t i = 0; i < per_client; ++i) {
+          Stopwatch one;
+          SSDB_CHECK(remote.EvalAt(2, 5).ok());
+          latencies[c].push_back(one.ElapsedSeconds());
+        }
+        SSDB_CHECK_OK(remote.Shutdown());
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const double wall_s = wall.ElapsedSeconds();
+
+    std::vector<double> all;
+    for (const auto& per_thread : latencies) {
+      all.insert(all.end(), per_thread.begin(), per_thread.end());
+    }
+    std::sort(all.begin(), all.end());
+    DispatchRow row;
+    row.poller = server.poller_name();
+    row.conns = cell.conns;
+    row.hot_clients = cell.hot;
+    row.ops = all.size();
+    row.qps = wall_s > 0 ? static_cast<double>(all.size()) / wall_s : 0;
+    row.p50_ms = all[all.size() / 2] * 1e3;
+    row.p99_ms = all[std::min(all.size() - 1, all.size() * 99 / 100)] * 1e3;
+    row.queue_depth_peak = server.Snapshot().queue_depth_peak;
+    std::printf("%-8s %-10u %-10u %-12.1f %-12.3f %-12.3f %-12llu\n",
+                row.poller.c_str(), row.conns, row.hot_clients, row.qps,
+                row.p50_ms, row.p99_ms,
+                static_cast<unsigned long long>(row.queue_depth_peak));
+    rows->push_back(row);
+
+    idle_conns.clear();
+    server.Shutdown();
   }
 }
 
@@ -814,7 +798,7 @@ void Run(int argc, char** argv) {
       "pool saturates, while p50 stays near the single-client latency.\n\n");
   PrintClientScalingJson(query, scaling_rows);
 
-  // --- high-connection dispatch cost by poller (DESIGN.md §7). The same
+  // --- high-connection dispatch cost (DESIGN.md §7). The same
   // hot workload with a growing herd of idle connections parked on the
   // server; only the dispatcher's interest-set handling changes.
   PrintHeader("High-connection dispatch for " + query);
@@ -824,11 +808,9 @@ void Run(int argc, char** argv) {
   std::vector<PollerScalingRow> poller_rows;
   RunPollerScaling(db.get(), query, &poller_rows);
   std::printf(
-      "\nscanned/wake is the dispatcher's per-wake cost: flat for epoll\n"
-      "(O(ready events), the incremental interest set) and growing with\n"
-      "idle connections for the poll fallback (the O(open connections)\n"
-      "replay the epoll backend removes). qps should be poller-independent\n"
-      "at low connection counts.\n\n");
+      "\nscanned/wake is the dispatcher's per-wake cost: O(ready events)\n"
+      "under the incremental epoll interest set, so it should stay flat\n"
+      "as idle connections grow.\n\n");
   PrintPollerScalingJson(query, poller_rows);
 
   // --- slow-reader resilience (DESIGN.md §7). K stalled readers hold

@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/database.h"
 #include "rpc/socket_channel.h"
@@ -65,8 +67,10 @@ int main() {
     std::fprintf(stderr, "%s\n", channel.status().ToString().c_str());
     return 1;
   }
-  auto client_db = core::EncryptedXmlDatabase::ConnectRemote(
-      std::move(*channel), map, seed, 83, 1);
+  std::vector<std::unique_ptr<rpc::Channel>> channels;
+  channels.push_back(std::move(*channel));
+  auto client_db = core::EncryptedXmlDatabase::ConnectRemoteMulti(
+      std::move(channels), map, seed, 83, 1);
   if (!client_db.ok()) {
     std::fprintf(stderr, "%s\n", client_db.status().ToString().c_str());
     return 1;

@@ -26,15 +26,18 @@ StatusOr<mapping::TagMap> EncryptedXmlDatabase::TagMapForDtd(
   return mapping::TagMap::FromNames(names, field);
 }
 
+StatusOr<std::unique_ptr<EncryptedXmlDatabase>> EncryptedXmlDatabase::Make(
+    const mapping::TagMap& map, uint32_t p, uint32_t e) {
+  SSDB_ASSIGN_OR_RETURN(gf::Field field, gf::Field::Make(p, e));
+  return std::unique_ptr<EncryptedXmlDatabase>(
+      new EncryptedXmlDatabase(gf::Ring(field), map));
+}
+
 StatusOr<std::unique_ptr<EncryptedXmlDatabase>> EncryptedXmlDatabase::Encode(
     std::string_view xml, const mapping::TagMap& map, const prg::Seed& seed,
     const DatabaseOptions& options) {
-  SSDB_ASSIGN_OR_RETURN(gf::Field field,
-                        gf::Field::Make(options.p, options.e));
-  gf::Ring ring(field);
-
-  auto db = std::unique_ptr<EncryptedXmlDatabase>(
-      new EncryptedXmlDatabase(ring, map));
+  SSDB_ASSIGN_OR_RETURN(std::unique_ptr<EncryptedXmlDatabase> db,
+                        Make(map, options.p, options.e));
 
   const uint32_t servers = options.servers == 0 ? 1 : options.servers;
   if (servers > kMaxServers) {
@@ -63,42 +66,31 @@ StatusOr<std::unique_ptr<EncryptedXmlDatabase>> EncryptedXmlDatabase::Encode(
 
   std::vector<storage::NodeStore*> store_ptrs;
   for (const auto& store : db->stores_) store_ptrs.push_back(store.get());
-  encode::Encoder encoder(ring, db->map_, prg::Prg(seed), store_ptrs,
+  encode::Encoder encoder(db->ring_, db->map_, prg::Prg(seed), store_ptrs,
                           options.encode);
   SSDB_ASSIGN_OR_RETURN(db->encode_result_, encoder.EncodeString(xml));
 
-  if (servers == 1) {
-    db->server_ = std::make_unique<filter::LocalServerFilter>(
-        ring, db->stores_[0].get());
-  } else {
-    std::vector<filter::ServerFilter*> backends;
-    for (const auto& store : db->stores_) {
-      db->backends_.push_back(
-          std::make_unique<filter::LocalServerFilter>(ring, store.get()));
-      backends.push_back(db->backends_.back().get());
-    }
-    db->server_ = std::make_unique<filter::MultiServerFilter>(
-        ring, std::move(backends));
-  }
-  db->server_view_ = db->server_.get();
   db->trie_ = options.encode.trie;
-  db->BuildEngines(seed);
+  db->AttachSlices(db->StoreBackends(), seed);
   return db;
 }
 
 StatusOr<std::unique_ptr<EncryptedXmlDatabase>>
-EncryptedXmlDatabase::ConnectRemote(std::unique_ptr<rpc::Channel> channel,
-                                    const mapping::TagMap& map,
-                                    const prg::Seed& seed, uint32_t p,
-                                    uint32_t e) {
-  SSDB_ASSIGN_OR_RETURN(gf::Field field, gf::Field::Make(p, e));
-  gf::Ring ring(field);
-  auto db = std::unique_ptr<EncryptedXmlDatabase>(
-      new EncryptedXmlDatabase(ring, map));
-  db->server_ = std::make_unique<rpc::RemoteServerFilter>(
-      ring, std::move(channel));
-  db->server_view_ = db->server_.get();
-  db->BuildEngines(seed);
+EncryptedXmlDatabase::OpenSlices(const std::vector<std::string>& slice_paths,
+                                 const mapping::TagMap& map,
+                                 const prg::Seed& seed, uint32_t p,
+                                 uint32_t e) {
+  if (slice_paths.empty()) {
+    return Status::InvalidArgument("no share slice files given");
+  }
+  SSDB_ASSIGN_OR_RETURN(std::unique_ptr<EncryptedXmlDatabase> db,
+                        Make(map, p, e));
+  for (const std::string& path : slice_paths) {
+    SSDB_ASSIGN_OR_RETURN(std::unique_ptr<storage::NodeStore> store,
+                          storage::DiskNodeStore::Open(path));
+    db->stores_.push_back(std::move(store));
+  }
+  db->AttachSlices(db->StoreBackends(), seed);
   return db;
 }
 
@@ -107,16 +99,50 @@ EncryptedXmlDatabase::ConnectRemoteMulti(
     std::vector<std::unique_ptr<rpc::Channel>> channels,
     const mapping::TagMap& map, const prg::Seed& seed, uint32_t p,
     uint32_t e) {
-  SSDB_ASSIGN_OR_RETURN(gf::Field field, gf::Field::Make(p, e));
-  gf::Ring ring(field);
-  auto db = std::unique_ptr<EncryptedXmlDatabase>(
-      new EncryptedXmlDatabase(ring, map));
+  SSDB_ASSIGN_OR_RETURN(std::unique_ptr<EncryptedXmlDatabase> db,
+                        Make(map, p, e));
   SSDB_ASSIGN_OR_RETURN(
       db->session_,
-      rpc::MultiServerSession::FromChannels(ring, std::move(channels)));
+      rpc::MultiServerSession::FromChannels(db->ring_, std::move(channels)));
   db->server_view_ = db->session_->filter();
   db->BuildEngines(seed);
   return db;
+}
+
+StatusOr<std::unique_ptr<EncryptedXmlDatabase>>
+EncryptedXmlDatabase::FromFilters(
+    const std::vector<filter::ServerFilter*>& backends,
+    const mapping::TagMap& map, const prg::Seed& seed, uint32_t p,
+    uint32_t e) {
+  if (backends.empty()) {
+    return Status::InvalidArgument("no slice filters given");
+  }
+  SSDB_ASSIGN_OR_RETURN(std::unique_ptr<EncryptedXmlDatabase> db,
+                        Make(map, p, e));
+  db->AttachSlices(backends, seed);
+  return db;
+}
+
+std::vector<filter::ServerFilter*> EncryptedXmlDatabase::StoreBackends() {
+  std::vector<filter::ServerFilter*> raw;
+  for (const auto& store : stores_) {
+    backends_.push_back(
+        std::make_unique<filter::LocalServerFilter>(ring_, store.get()));
+    raw.push_back(backends_.back().get());
+  }
+  return raw;
+}
+
+void EncryptedXmlDatabase::AttachSlices(
+    std::vector<filter::ServerFilter*> backends, const prg::Seed& seed) {
+  if (backends.size() == 1) {
+    server_view_ = backends[0];
+  } else {
+    fanout_ =
+        std::make_unique<filter::MultiServerFilter>(ring_, std::move(backends));
+    server_view_ = fanout_.get();
+  }
+  BuildEngines(seed);
 }
 
 void EncryptedXmlDatabase::BuildEngines(const prg::Seed& seed) {
@@ -127,6 +153,26 @@ void EncryptedXmlDatabase::BuildEngines(const prg::Seed& seed) {
   agg_ = std::make_unique<agg::AggregationEngine>(client_.get(), &map_);
   mutator_ = std::make_unique<encode::Mutator>(ring_, map_, prg::Prg(seed),
                                                server_view_);
+}
+
+Status EncryptedXmlDatabase::ProbeShares() {
+  SSDB_ASSIGN_OR_RETURN(filter::NodeMeta root, client_->Root());
+  StatusOr<gf::Elem> probe = client_->RecoverOwnValue(root);
+  if (!probe.ok()) {
+    return Status(probe.status().code(),
+                  "share-sum sanity probe failed (are all slices listed in "
+                  "slice order, with this document's seed?): " +
+                      probe.status().message());
+  }
+  client_->stats().Reset();
+  return Status::OK();
+}
+
+void EncryptedXmlDatabase::SetEndpointHealth(
+    const control::HealthView* health, std::vector<std::string> endpoints) {
+  filter::MultiServerFilter* fanout =
+      session_ != nullptr ? session_->filter() : fanout_.get();
+  if (fanout != nullptr) fanout->SetEndpointHealth(health, std::move(endpoints));
 }
 
 StatusOr<MutationResult> EncryptedXmlDatabase::Update(
@@ -237,11 +283,7 @@ StatusOr<QueryResult> EncryptedXmlDatabase::QueryParsed(
 }
 
 filter::ServerFilter* EncryptedXmlDatabase::slice_filter(size_t i) {
-  if (!backends_.empty()) {
-    return i < backends_.size() ? backends_[i].get() : nullptr;
-  }
-  if (i == 0 && !stores_.empty()) return server_.get();
-  return nullptr;
+  return i < backends_.size() ? backends_[i].get() : nullptr;
 }
 
 Status EncryptedXmlDatabase::Serve(rpc::Channel* channel) {

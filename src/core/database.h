@@ -5,6 +5,16 @@
 // then answer XPath-subset queries with either search strategy and either
 // matching rule, locally or across client/server channels.
 //
+// This is the one place a client stack (query translation + client filter,
+// fig. 3) is assembled; the shard router and ssdb_query hold one facade per
+// document. Factories:
+//   Encode              encode a document into fresh stores (owned);
+//   OpenSlices          open existing disk slice files, in slice order (owned);
+//   ConnectRemoteMulti  one channel per slice server, in slice order;
+//   FromFilters         injected slice filters (not owned — tests, benches).
+// A single slice is talked to directly; several fan out through a
+// MultiServerFilter.
+//
 // Quickstart:
 //   auto field = gf::Field::Make(83).value();
 //   auto map = core::EncryptedXmlDatabase::TagMapForDtd(dtd, field).value();
@@ -22,6 +32,7 @@
 #include <vector>
 
 #include "agg/aggregation.h"
+#include "control/health.h"
 #include "core/options.h"
 #include "encode/reshare.h"
 #include "filter/client_filter.h"
@@ -75,17 +86,25 @@ class EncryptedXmlDatabase {
       std::string_view xml, const mapping::TagMap& map,
       const prg::Seed& seed, const DatabaseOptions& options);
 
-  // Client side of a remote deployment: queries are answered through the
-  // channel; this process holds only the seed and the map.
-  static StatusOr<std::unique_ptr<EncryptedXmlDatabase>> ConnectRemote(
-      std::unique_ptr<rpc::Channel> channel, const mapping::TagMap& map,
+  // Opens the disk slice files of an earlier encode, in slice order (one
+  // path for a single-server store, ShareSlicePath(base, i, m) otherwise).
+  static StatusOr<std::unique_ptr<EncryptedXmlDatabase>> OpenSlices(
+      const std::vector<std::string>& slice_paths, const mapping::TagMap& map,
       const prg::Seed& seed, uint32_t p, uint32_t e);
 
-  // m-server variant (DESIGN.md §5): channel i must reach the server
-  // holding share slice i. Evaluations fan out to every channel
-  // concurrently and the replies are summed client-side.
+  // Client side of a remote deployment (DESIGN.md §5): channel i must reach
+  // the server holding share slice i; this process holds only the seed and
+  // the map. Evaluations fan out to every channel concurrently and the
+  // replies are summed client-side; one channel is the plain 2-party case.
   static StatusOr<std::unique_ptr<EncryptedXmlDatabase>> ConnectRemoteMulti(
       std::vector<std::unique_ptr<rpc::Channel>> channels,
+      const mapping::TagMap& map, const prg::Seed& seed, uint32_t p,
+      uint32_t e);
+
+  // Injected slice filters, in slice order (test/bench injection). The
+  // filters are not owned and must outlive the database.
+  static StatusOr<std::unique_ptr<EncryptedXmlDatabase>> FromFilters(
+      const std::vector<filter::ServerFilter*>& backends,
       const mapping::TagMap& map, const prg::Seed& seed, uint32_t p,
       uint32_t e);
 
@@ -111,6 +130,12 @@ class EncryptedXmlDatabase {
   // call when nothing is pending.
   Status RecoverMutations();
 
+  // Share-sum sanity probe: recovers the root's own tag through the
+  // verified equality-test division, so a missing, misordered or tampered
+  // slice (or the wrong seed) fails here instead of with silently wrong
+  // answers. Resets the client's evaluation counters afterwards.
+  Status ProbeShares();
+
   // Parses and runs a query.
   StatusOr<QueryResult> Query(std::string_view xpath, EngineKind engine,
                               query::MatchMode mode);
@@ -134,9 +159,7 @@ class EncryptedXmlDatabase {
     return i < stores_.size() ? stores_[i].get() : nullptr;
   }
   size_t server_count() const {
-    if (!stores_.empty()) return stores_.size();
-    if (session_ != nullptr) return session_->server_count();
-    return server_view_ != nullptr ? 1 : 0;
+    return server_view_ == nullptr ? 0 : server_view_->ServerCount();
   }
   filter::ClientFilter* client_filter() { return client_.get(); }
   filter::ServerFilter* server_filter() { return server_view_; }
@@ -144,8 +167,9 @@ class EncryptedXmlDatabase {
 
   // Long-lived filter over share slice i, shared by every connection a
   // concurrent transport dispatches (DESIGN.md §7) — unlike ServeSlice,
-  // which builds a per-call filter. Null when i is out of range or in
-  // remote mode. For m == 1, slice 0 is the whole server share.
+  // which builds a per-call filter. Null when i is out of range or the
+  // stores are not owned (remote or injected). For m == 1, slice 0 is the
+  // whole server share.
   filter::ServerFilter* slice_filter(size_t i);
 
   // Total server exchanges so far (wire round trips in remote mode,
@@ -155,8 +179,19 @@ class EncryptedXmlDatabase {
     return server_view_ == nullptr ? 0 : server_view_->RoundTrips();
   }
 
+  // Total bytes over every remote channel (0 unless remote).
+  uint64_t bytes_on_wire() const {
+    return session_ == nullptr ? 0 : session_->bytes_on_wire();
+  }
+
+  // Degraded-mode fail-fast (DESIGN.md §11): the fan-out filter consults
+  // `health` for `endpoints` (slice order) before every exchange. A no-op
+  // for a single-slice local or injected stack, which has no fan-out.
+  void SetEndpointHealth(const control::HealthView* health,
+                         std::vector<std::string> endpoints);
+
   // Serves this database's server side over a channel (blocking). The peer
-  // is typically another process using ConnectRemote.
+  // is typically another process using ConnectRemoteMulti.
   Status Serve(rpc::Channel* channel);
 
   // Serves exactly one share slice of an m-server encode (blocking) — what
@@ -168,6 +203,15 @@ class EncryptedXmlDatabase {
   explicit EncryptedXmlDatabase(gf::Ring ring, mapping::TagMap map)
       : ring_(std::move(ring)), map_(std::move(map)) {}
 
+  static StatusOr<std::unique_ptr<EncryptedXmlDatabase>> Make(
+      const mapping::TagMap& map, uint32_t p, uint32_t e);
+  // The one place a client stack is assembled: the server view is the
+  // backend itself for one slice, a MultiServerFilter over all of them for
+  // several; then the engines are built over it.
+  void AttachSlices(std::vector<filter::ServerFilter*> backends,
+                    const prg::Seed& seed);
+  // LocalServerFilters over stores_, owned by backends_, in slice order.
+  std::vector<filter::ServerFilter*> StoreBackends();
   void BuildEngines(const prg::Seed& seed);
   Status CheckMutable();
   StatusOr<MutationResult> DriveMutation(encode::PlannedMutation planned);
@@ -175,15 +219,15 @@ class EncryptedXmlDatabase {
   gf::Ring ring_;
   mapping::TagMap map_;
   encode::EncodeResult encode_result_;
-  // Local mode: stores_[i] holds share slice i; backends_ the per-slice
-  // filters when m > 1; server_ the filter the client stack talks to (a
-  // LocalServerFilter, RemoteServerFilter, or MultiServerFilter).
+  // Owned-store mode: stores_[i] holds share slice i, backends_[i] its
+  // filter. fanout_ fans out over several local or injected slices.
   std::vector<std::unique_ptr<storage::NodeStore>> stores_;
   std::vector<std::unique_ptr<filter::ServerFilter>> backends_;
-  std::unique_ptr<filter::ServerFilter> server_;
-  // Remote multi mode: the session owns the channels and the fan-out.
+  std::unique_ptr<filter::MultiServerFilter> fanout_;
+  // Remote mode: the session owns the channels and the fan-out.
   std::unique_ptr<rpc::MultiServerSession> session_;
-  // Always points at the active server filter (server_ or the session's).
+  // The filter the client stack talks to: a slice backend, fanout_, or the
+  // session's fan-out.
   filter::ServerFilter* server_view_ = nullptr;
   std::unique_ptr<filter::ClientFilter> client_;
   std::unique_ptr<query::SimpleEngine> simple_;

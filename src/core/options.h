@@ -65,11 +65,6 @@ struct CorpusOptions {
   // merges; failures name the document, group, and server.
   bool verify_aggregate = false;
 
-  // Share-sum sanity probe per document at open: recover the root tag
-  // through the verified equality test so a mis-listed slice set fails at
-  // open time, not with silently wrong answers.
-  bool probe_shares = true;
-
   // Degraded-mode corpus queries (DESIGN.md §11): when set, a document
   // whose server group is unreachable — at open or mid-query — is recorded
   // in CorpusResult::missing instead of failing the whole corpus; the

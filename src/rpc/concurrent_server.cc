@@ -17,7 +17,7 @@ namespace {
 
 // Poller registration identity of the listening socket; session ids
 // start at 1, so 0 is free (and the poller's internal wake channel uses
-// the top of the token range — see rpc/epoll_poller.cc).
+// the top of the token range — see rpc/event_poller.cc).
 constexpr uint64_t kListenerToken = 0;
 
 }  // namespace
@@ -63,8 +63,7 @@ Status ConcurrentServer::Start() {
     if (started_) return Status::FailedPrecondition("already started");
     started_ = true;
   }
-  StatusOr<std::unique_ptr<EventPoller>> poller =
-      MakeEventPoller(options_.poller);
+  StatusOr<std::unique_ptr<EventPoller>> poller = EventPoller::Make();
   Status registered = poller.ok() ? Status::OK() : poller.status();
   if (registered.ok()) {
     poller_ = std::move(*poller);
@@ -75,8 +74,7 @@ Status ConcurrentServer::Start() {
                               /*oneshot=*/false);
   }
   if (!registered.ok()) {
-    // Leave the server restartable (e.g. retry with the poll backend
-    // after a kEpoll request on a non-epoll build).
+    // Leave the server restartable.
     std::lock_guard<std::mutex> lock(listener_mu_);
     started_ = false;
     poller_.reset();
@@ -93,10 +91,6 @@ Status ConcurrentServer::Start() {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
   return Status::OK();
-}
-
-const char* ConcurrentServer::poller_name() const {
-  return poller_ ? poller_->name() : PollerBackendName(options_.poller);
 }
 
 ServerStats ConcurrentServer::Snapshot() const {
@@ -384,9 +378,7 @@ void ConcurrentServer::WorkerLoop(size_t index) {
         session->close_after_flush = is_shutdown;
         session->state = SessionState::kFlushing;
         session->last_armed = std::chrono::steady_clock::now();
-        // Write interest replaces the (oneshot-disabled) read interest;
-        // under the poll backend ArmWrite kicks the self-pipe so the new
-        // mask is picked up immediately.
+        // Write interest replaces the (oneshot-disabled) read interest.
         armed = poller_->ArmWrite(session->fd, id).ok();
         if (!armed) session->state = SessionState::kBusy;  // keep ownership
       }
@@ -406,7 +398,7 @@ void ConcurrentServer::WorkerLoop(size_t index) {
       std::lock_guard<std::mutex> lock(shard.mu);
       session->state = SessionState::kArmed;
       session->last_armed = std::chrono::steady_clock::now();
-      // Under epoll this re-enables the oneshot registration without
+      // This re-enables the oneshot registration without
       // waking the dispatcher; if bytes already arrived mid-request the
       // kernel delivers the event immediately. Holding the shard lock
       // keeps the re-arm atomic with the state transition so the idle

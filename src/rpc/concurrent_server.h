@@ -8,10 +8,9 @@
 ///
 /// The interest set is *incremental* (rpc/event_poller.h): a connection
 /// is registered once at accept, disabled while a worker owns its
-/// request (EPOLLONESHOT under the epoll backend), re-armed by the worker
-/// when the response is out, and deregistered on close — per-wake
-/// dispatch cost is O(ready events) under epoll, with poll(2) kept as
-/// the portable fallback.
+/// request (EPOLLONESHOT), re-armed by the worker when the response is
+/// out, and deregistered on close — per-wake dispatch cost is O(ready
+/// events).
 ///
 /// The data plane never blocks on a peer (DESIGN.md §7):
 ///
@@ -91,9 +90,6 @@ struct ConcurrentServerOptions {
   // worker) unless idle_timeout_seconds also kicks in; a client that
   // stops *reading* never parks a worker at all (buffered write path).
   int io_timeout_seconds = 30;
-  // Readiness backend (DESIGN.md §7): epoll when available, with poll(2)
-  // as the portable fallback.
-  PollerBackend poller = PollerBackend::kDefault;
   // Fd budget: at this many open connections the accept loop pauses
   // (backpressure — pending clients queue in the listen backlog) and
   // resumes as connections close. 0 = unlimited.
@@ -152,10 +148,9 @@ class ConcurrentServer {
   // struct; there are no per-counter getters.
   ServerStats Snapshot() const;
 
-  // Resolved readiness backend ("epoll"/"poll"); valid after Start().
-  // (Also in Snapshot(); kept as a getter for startup banners printed
-  // before any stats exist.)
-  const char* poller_name() const;
+  // Readiness backend name ("epoll"). (Also in Snapshot(); kept as a
+  // getter for startup banners printed before any stats exist.)
+  const char* poller_name() const { return "epoll"; }
 
  private:
   // A connection's lifecycle: kArmed (fd armed for read in the poller) →
@@ -235,8 +230,8 @@ class ConcurrentServer {
   FramePool pool_;
 
   // Lock order (DESIGN.md §7): listener_mu_ → shard mutex → worker-queue
-  // mutex → poller internal mutex → filter cursor mutex → store lock →
-  // buffer-pool latch; never held across a channel Receive/Send/flush.
+  // mutex → filter cursor mutex → store lock → buffer-pool latch; never
+  // held across a channel Receive/Send/flush.
   SessionShard shards_[kSessionShards];
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
 

@@ -1,206 +1,134 @@
 #include "rpc/event_poller.h"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
+#include <string>
 
 namespace ssdb::rpc {
 namespace {
 
-void SetNonBlockingFd(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+// Reserved registration identity for the internal wake pipe; never
+// surfaced in delivered events. ConcurrentServer tokens are session ids
+// and its listener token 0, so the top of the range is safely ours.
+constexpr uint64_t kWakeToken = ~uint64_t{0};
+
+constexpr int kMaxEvents = 128;
+
+Status EpollError(const char* what) {
+  return Status::IOError(std::string(what) + ": " + std::strerror(errno));
 }
-
-// Portable fallback (DESIGN.md §7): the interest set lives in a mutexed
-// table and is replayed into a fresh pollfd array on every wake, so each
-// wake costs O(open connections) — the exact ceiling the epoll backend
-// removes. Mutators write the self-pipe so a blocked poll(2) observes
-// interest changes (poll has no equivalent of epoll_ctl against a live
-// wait); ArmWrite in particular must kick the pipe or a drained socket
-// would sit unwatched until the next unrelated wake, stalling the
-// buffered write path the epoll backend services immediately.
-class PollPoller : public EventPoller {
- public:
-  static StatusOr<std::unique_ptr<EventPoller>> Make() {
-    auto poller = std::unique_ptr<PollPoller>(new PollPoller());
-    if (::pipe(poller->wake_fds_) != 0) {
-      return Status::IOError(std::string("pipe: ") + std::strerror(errno));
-    }
-    SetNonBlockingFd(poller->wake_fds_[0]);
-    SetNonBlockingFd(poller->wake_fds_[1]);
-    return StatusOr<std::unique_ptr<EventPoller>>(std::move(poller));
-  }
-
-  ~PollPoller() override {
-    if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-    if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-  }
-
-  Status Add(int fd, uint64_t token, bool oneshot) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      entries_[fd] = Entry{token, oneshot, /*armed=*/true, POLLIN};
-    }
-    Wake();
-    return Status::OK();
-  }
-
-  Status Rearm(int fd, uint64_t token) override {
-    return Retarget(fd, token, POLLIN, "poll rearm: unknown fd");
-  }
-
-  Status ArmWrite(int fd, uint64_t token) override {
-    return Retarget(fd, token, POLLOUT, "poll arm-write: unknown fd");
-  }
-
-  Status Remove(int fd) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.erase(fd);
-    // No Wake: a stale pollfd entry at worst produces one spurious wake,
-    // and its event is dropped at replay time (fd no longer in the table).
-    return Status::OK();
-  }
-
-  StatusOr<size_t> Wait(std::vector<PollerEvent>* events,
-                        int timeout_ms) override {
-    events->clear();
-    std::vector<pollfd> fds;
-    std::vector<uint64_t> tokens;  // tokens[i] belongs to fds[i + 1]
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fds.reserve(entries_.size() + 1);
-      tokens.reserve(entries_.size());
-      fds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
-      for (const auto& [fd, entry] : entries_) {
-        if (!entry.armed) continue;
-        fds.push_back(pollfd{fd, entry.interest, 0});
-        tokens.push_back(entry.token);
-      }
-    }
-    int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                       timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) return static_cast<size_t>(0);
-      return Status::IOError(std::string("poll: ") + std::strerror(errno));
-    }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    items_scanned_.fetch_add(fds.size(), std::memory_order_relaxed);
-    if (fds[0].revents != 0) {
-      char drain[64];
-      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 1; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      auto it = entries_.find(fds[i].fd);
-      // The entry may have been removed or retargeted while poll slept;
-      // deliver only live, still-armed registrations.
-      if (it == entries_.end() || !it->second.armed ||
-          it->second.token != tokens[i - 1]) {
-        continue;
-      }
-      if (it->second.oneshot) it->second.armed = false;
-      PollerEvent event;
-      event.token = it->second.token;
-      // POLLERR/POLLHUP surface regardless of the requested interest;
-      // report them on the watched direction so the owner's next
-      // read/write discovers the condition.
-      const short revents = fds[i].revents;
-      const bool broken = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      event.readable = (revents & POLLIN) != 0 ||
-                       (broken && it->second.interest == POLLIN);
-      event.writable = (revents & POLLOUT) != 0 ||
-                       (broken && it->second.interest == POLLOUT);
-      events->push_back(event);
-    }
-    return events->size();
-  }
-
-  void Wake() override {
-    char byte = 'w';
-    ssize_t ignored = ::write(wake_fds_[1], &byte, 1);
-    (void)ignored;  // a full pipe already guarantees a wakeup
-  }
-
-  const char* name() const override { return "poll"; }
-
-  size_t interest_size() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-  }
-
- private:
-  struct Entry {
-    uint64_t token = 0;
-    bool oneshot = false;
-    bool armed = true;
-    short interest = POLLIN;  // POLLIN or POLLOUT, one direction at a time
-  };
-
-  PollPoller() = default;
-
-  // Shared Rearm/ArmWrite body: re-enable the registration watching the
-  // given direction, then kick the self-pipe so a blocked poll(2)
-  // replays the updated interest set.
-  Status Retarget(int fd, uint64_t token, short interest, const char* miss) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = entries_.find(fd);
-      if (it == entries_.end()) return Status::NotFound(miss);
-      it->second.token = token;
-      it->second.armed = true;
-      it->second.interest = interest;
-    }
-    Wake();
-    return Status::OK();
-  }
-
-  mutable std::mutex mu_;
-  std::unordered_map<int, Entry> entries_;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
-};
 
 }  // namespace
 
-bool EpollAvailable() {
-#if defined(SSDB_HAVE_EPOLL)
-  return true;
-#else
-  return false;
-#endif
+StatusOr<std::unique_ptr<EventPoller>> EventPoller::Make() {
+  auto poller = std::unique_ptr<EventPoller>(new EventPoller());
+  poller->epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (poller->epoll_fd_ < 0) return EpollError("epoll_create1");
+  if (::pipe2(poller->wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    return EpollError("pipe2");
+  }
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.u64 = kWakeToken;
+  if (::epoll_ctl(poller->epoll_fd_, EPOLL_CTL_ADD, poller->wake_fds_[0],
+                  &event) != 0) {
+    return EpollError("epoll_ctl wake pipe");
+  }
+  return poller;
 }
 
-const char* PollerBackendName(PollerBackend backend) {
-  switch (backend) {
-    case PollerBackend::kEpoll:
-      return "epoll";
-    case PollerBackend::kPoll:
-      return "poll";
-    case PollerBackend::kDefault:
-      return EpollAvailable() ? "epoll" : "poll";
-  }
-  return "poll";
+EventPoller::~EventPoller() {
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
+  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
 }
 
-StatusOr<std::unique_ptr<EventPoller>> MakeEventPoller(PollerBackend backend) {
-  if (backend == PollerBackend::kDefault) {
-    backend = EpollAvailable() ? PollerBackend::kEpoll : PollerBackend::kPoll;
+Status EventPoller::Add(int fd, uint64_t token, bool oneshot) {
+  epoll_event event{};
+  event.events = EPOLLIN | (oneshot ? EPOLLONESHOT : 0u);
+  event.data.u64 = token;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
+    return EpollError("epoll_ctl add");
   }
-  if (backend == PollerBackend::kEpoll) {
-#if defined(SSDB_HAVE_EPOLL)
-    return MakeEpollPoller();
-#else
-    return Status::Unimplemented("epoll backend not compiled in");
-#endif
+  interest_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status EventPoller::Rearm(int fd, uint64_t token) {
+  // MOD on a consumed EPOLLONESHOT registration re-enables it; if the fd
+  // already has data the dispatcher is woken by the kernel, so no
+  // user-space wake is needed.
+  return Mod(fd, token, EPOLLIN, "epoll_ctl rearm");
+}
+
+Status EventPoller::ArmWrite(int fd, uint64_t token) {
+  // Same MOD, opposite direction: the kernel fires as soon as the socket
+  // drains (or immediately if it already has space), again without a
+  // user-space wake.
+  return Mod(fd, token, EPOLLOUT, "epoll_ctl arm-write");
+}
+
+Status EventPoller::Remove(int fd) {
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
+    if (errno == ENOENT || errno == EBADF) return Status::OK();
+    return EpollError("epoll_ctl del");
   }
-  return PollPoller::Make();
+  interest_.fetch_sub(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+StatusOr<size_t> EventPoller::Wait(std::vector<PollerEvent>* events,
+                                   int timeout_ms) {
+  events->clear();
+  epoll_event ready[kMaxEvents];
+  int n = ::epoll_wait(epoll_fd_, ready, kMaxEvents, timeout_ms);
+  if (n < 0) {
+    if (errno == EINTR) return static_cast<size_t>(0);
+    return EpollError("epoll_wait");
+  }
+  wakeups_.fetch_add(1, std::memory_order_relaxed);
+  items_scanned_.fetch_add(static_cast<uint64_t>(n),
+                           std::memory_order_relaxed);
+  for (int i = 0; i < n; ++i) {
+    if (ready[i].data.u64 == kWakeToken) {
+      char drain[64];
+      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
+      }
+      continue;
+    }
+    PollerEvent event;
+    event.token = ready[i].data.u64;
+    // EPOLLERR/EPOLLHUP are delivered regardless of the registered
+    // interest; surface them on both directions so the owner's next read
+    // or write discovers the condition.
+    const uint32_t flags = ready[i].events;
+    const bool broken = (flags & (EPOLLERR | EPOLLHUP)) != 0;
+    event.readable = (flags & EPOLLIN) != 0 || broken;
+    event.writable = (flags & EPOLLOUT) != 0 || broken;
+    events->push_back(event);
+  }
+  return events->size();
+}
+
+void EventPoller::Wake() {
+  char byte = 'w';
+  ssize_t ignored = ::write(wake_fds_[1], &byte, 1);
+  (void)ignored;  // a full pipe already guarantees a wakeup
+}
+
+Status EventPoller::Mod(int fd, uint64_t token, uint32_t direction,
+                        const char* what) {
+  epoll_event event{};
+  event.events = direction | EPOLLONESHOT;
+  event.data.u64 = token;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event) != 0) {
+    return EpollError(what);
+  }
+  return Status::OK();
 }
 
 }  // namespace ssdb::rpc

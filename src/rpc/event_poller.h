@@ -1,33 +1,20 @@
 /// EventPoller (DESIGN.md §7): the readiness backend under
-/// ConcurrentServer's dispatcher. The server registers each connection
-/// once at accept time, disables it while a worker owns the request
-/// (one-shot semantics), re-arms it when the worker hands the connection
-/// back, and removes it on close — an *incremental* interest set, so the
-/// per-wake cost of the good backend is O(ready events), not O(open
-/// connections).
+/// ConcurrentServer's dispatcher, built on Linux epoll. The server
+/// registers each connection once at accept time, disables it while a
+/// worker owns the request (one-shot semantics), re-arms it when the
+/// worker hands the connection back, and removes it on close — an
+/// *incremental* interest set held by the kernel, so the per-wake cost is
+/// O(ready events), not O(open connections).
 ///
 /// A registration watches one direction at a time, matching the server's
 /// connection state machine: Add/Rearm watch readability (a parked
 /// connection waiting for its next request), ArmWrite flips the same
 /// registration to writability (a connection whose response overflowed
 /// the socket buffer and is draining through the buffered write path).
-/// Both are one-shot for connections, so exactly one owner acts on each
-/// delivered event.
-///
-/// Two implementations:
-///  * EpollPoller (Linux, compiled when <sys/epoll.h> is present): the
-///    kernel holds the interest set; one-shot registration maps to
-///    EPOLLONESHOT, re-arm/arm-write to EPOLL_CTL_MOD with EPOLLIN or
-///    EPOLLOUT, all callable from worker threads without waking the
-///    dispatcher.
-///  * PollPoller (portable fallback): a mutexed fd table replayed into a
-///    poll(2) array every wake — O(open connections) per wake by nature
-///    of the syscall, kept only for platforms without epoll and as the
-///    comparison baseline in bench_rpc's poller-scaling section. Its
-///    mutators (Rearm and ArmWrite included) kick the blocked poll(2)
-///    through a self-pipe so interest changes — e.g. a drained write
-///    buffer re-arming for reads — take effect immediately, preserving
-///    behavioural parity with epoll for the buffered-write contract.
+/// Both are one-shot for connections (EPOLLONESHOT), so exactly one owner
+/// acts on each delivered event; re-arm and arm-write are EPOLL_CTL_MOD
+/// calls, made straight from worker threads without waking the
+/// dispatcher.
 ///
 /// Thread contract: Add/Rearm/ArmWrite/Remove/Wake are safe from any
 /// thread; Wait has a single caller (the dispatcher thread). wakeups()
@@ -56,79 +43,70 @@ struct PollerEvent {
   bool writable = false;
 };
 
-enum class PollerBackend {
-  kDefault,  // epoll when compiled in, poll otherwise
-  kEpoll,
-  kPoll,
-};
-
-// True when the epoll backend was compiled in (Linux).
-bool EpollAvailable();
-
-// Human-readable backend name ("epoll" / "poll"); resolves kDefault.
-const char* PollerBackendName(PollerBackend backend);
-
 class EventPoller {
  public:
-  virtual ~EventPoller() = default;
+  static StatusOr<std::unique_ptr<EventPoller>> Make();
+  ~EventPoller();
+
+  EventPoller(const EventPoller&) = delete;
+  EventPoller& operator=(const EventPoller&) = delete;
 
   // Registers `fd` for readability with `token` as its identity in
   // delivered events. A `oneshot` fd is disabled after each delivered
   // event and must be Rearm()ed to fire again (the EPOLLONESHOT
   // protocol); a persistent fd (listener) stays armed.
-  virtual Status Add(int fd, uint64_t token, bool oneshot) = 0;
+  Status Add(int fd, uint64_t token, bool oneshot);
 
   // Re-enables a oneshot fd for readability after its event was
   // consumed. If the fd became readable while disabled, the next Wait
   // reports it.
-  virtual Status Rearm(int fd, uint64_t token) = 0;
+  Status Rearm(int fd, uint64_t token);
 
   // Flips a oneshot fd's registration to writability: the next Wait
   // reports it once the socket can accept bytes again (immediately, if
   // it already can). The buffered write path (DESIGN.md §7) uses this
   // while a response is draining; when the buffer empties, Rearm
   // switches the registration back to reads.
-  virtual Status ArmWrite(int fd, uint64_t token) = 0;
+  Status ArmWrite(int fd, uint64_t token);
 
   // Deregisters `fd`. Must be called before the fd is closed (a closed
   // fd's slot can be reused by the kernel). Best-effort: unknown fds are
   // ignored.
-  virtual Status Remove(int fd) = 0;
+  Status Remove(int fd);
 
   // Blocks up to `timeout_ms` (-1 = forever) for events; appends them to
   // `events` (cleared first). Returns the number delivered; 0 on timeout
   // or spurious Wake(). Single-threaded: only the dispatcher calls this.
-  virtual StatusOr<size_t> Wait(std::vector<PollerEvent>* events,
-                                int timeout_ms) = 0;
+  StatusOr<size_t> Wait(std::vector<PollerEvent>* events, int timeout_ms);
 
   // Makes a concurrent/subsequent Wait return early (possibly with zero
-  // events). Used for shutdown and by PollPoller's own mutators.
-  virtual void Wake() = 0;
+  // events). Used for shutdown.
+  void Wake();
 
-  virtual const char* name() const = 0;
-  virtual size_t interest_size() const = 0;
+  const char* name() const { return "epoll"; }
+  size_t interest_size() const {
+    return interest_.load(std::memory_order_relaxed);
+  }
 
   // Times Wait returned with at least one event or a timeout/wake.
   uint64_t wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
-  // Interest-set entries examined across all wakes: ready events for
-  // epoll, the whole replayed pollfd array for poll. scanned/wake is the
-  // dispatch cost bench_rpc tracks as idle connections grow.
+  // Ready events examined across all wakes; scanned/wake is the dispatch
+  // cost bench_rpc tracks as idle connections grow.
   uint64_t items_scanned() const {
     return items_scanned_.load(std::memory_order_relaxed);
   }
 
- protected:
+ private:
+  EventPoller() = default;
+
+  Status Mod(int fd, uint64_t token, uint32_t direction, const char* what);
+
+  int epoll_fd_ = -1;
+  int wake_fds_[2] = {-1, -1};
+  std::atomic<size_t> interest_{0};  // excludes the wake pipe
   std::atomic<uint64_t> wakeups_{0};
   std::atomic<uint64_t> items_scanned_{0};
 };
-
-// Builds the requested backend; kEpoll on a non-epoll build is an error.
-StatusOr<std::unique_ptr<EventPoller>> MakeEventPoller(PollerBackend backend);
-
-// Defined in epoll_poller.cc; only linked with epoll support.
-#if defined(SSDB_HAVE_EPOLL)
-StatusOr<std::unique_ptr<EventPoller>> MakeEpollPoller();
-#endif
 
 }  // namespace ssdb::rpc
 

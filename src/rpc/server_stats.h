@@ -18,7 +18,7 @@ namespace ssdb::rpc {
 struct ServerStats {
   // Identity / environment.
   std::string build;          // kServerBuild
-  std::string poller;         // resolved readiness backend ("epoll"/"poll")
+  std::string poller;         // readiness backend ("epoll")
   size_t threads = 0;         // worker pool size
   uint64_t uptime_seconds = 0;
 

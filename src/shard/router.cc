@@ -6,9 +6,7 @@
 #include <thread>
 #include <utility>
 
-#include "gf/field.h"
-#include "rpc/client.h"
-#include "storage/table.h"
+#include "rpc/socket_channel.h"
 #include "util/stopwatch.h"
 
 namespace ssdb::shard {
@@ -59,59 +57,15 @@ Status Router::CheckHealth(const ShardEntry& entry) const {
 void Router::SetHealth(const control::HealthView* health) {
   health_ = health;
   for (auto& stack : stacks_) {
-    if (stack->fanout != nullptr) {
-      stack->fanout->SetEndpointHealth(health, stack->entry->slices);
-    }
+    stack->db->SetEndpointHealth(health, stack->entry->slices);
   }
 }
 
-Status Router::FinishStack(DocStack* stack, const gf::Ring& ring,
-                           const prg::Seed& seed) {
-  stack->client = std::make_unique<filter::ClientFilter>(ring, prg::Prg(seed),
-                                                         stack->view);
-  stack->simple = std::make_unique<query::SimpleEngine>(stack->client.get(),
-                                                        map_);
-  stack->advanced = std::make_unique<query::AdvancedEngine>(
-      stack->client.get(), map_);
-  stack->agg = std::make_unique<agg::AggregationEngine>(stack->client.get(),
-                                                        map_);
-  stack->agg->set_verify(options_.verify_aggregate);
-  stack->mutator = std::make_unique<encode::Mutator>(ring, *map_,
-                                                     prg::Prg(seed),
-                                                     stack->view);
-  stack->engine =
-      options_.engine == core::EngineKind::kSimple
-          ? static_cast<query::QueryEngine*>(stack->simple.get())
-          : static_cast<query::QueryEngine*>(stack->advanced.get());
-  if (options_.probe_shares) {
-    // Same probe ssdb_query runs: recover the root's own tag through the
-    // verified equality-test division, so a catalog entry listing the wrong
-    // slices (or paired with the wrong seed) fails at open, not with
-    // silently wrong answers.
-    auto root = stack->client->Root();
-    if (!root.ok()) return root.status();
-    auto probe = stack->client->RecoverOwnValue(*root);
-    if (!probe.ok()) {
-      return Status(probe.status().code(),
-                    "share-sum sanity probe failed (are all slices listed in "
-                    "slice order, with this document's seed?): " +
-                        probe.status().message());
-    }
-    stack->client->stats().Reset();
-  }
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<Router>> Router::Open(
-    ShardCatalog catalog, const mapping::TagMap* map,
-    const prg::Seed& default_seed,
+StatusOr<std::unique_ptr<Router>> Router::Build(
+    ShardCatalog catalog, const prg::Seed& default_seed,
     const std::map<std::string, prg::Seed>& seeds,
-    const core::CorpusOptions& options) {
-  auto field = gf::Field::Make(options.p, options.e);
-  if (!field.ok()) return field.status();
-  gf::Ring ring(*field);
-  std::unique_ptr<Router> router(
-      new Router(std::move(catalog), map, options));
+    const core::CorpusOptions& options, const MakeDb& make_db) {
+  std::unique_ptr<Router> router(new Router(std::move(catalog), options));
   for (const ShardEntry& entry : router->catalog_.entries()) {
     auto stack = std::make_unique<DocStack>();
     stack->entry = &entry;
@@ -119,37 +73,14 @@ StatusOr<std::unique_ptr<Router>> Router::Open(
     // any failure — a dead socket, a missing slice file, a failed open
     // probe — as "this document is unreachable" and move on.
     Status built = [&]() -> Status {
-      if (options.local) {
-        std::vector<filter::ServerFilter*> raw;
-        for (const std::string& path : entry.slices) {
-          auto disk = storage::DiskNodeStore::Open(path);
-          if (!disk.ok()) return disk.status();
-          stack->stores.push_back(std::move(*disk));
-          stack->backends.push_back(
-              std::make_unique<filter::LocalServerFilter>(
-                  ring, stack->stores.back().get()));
-          raw.push_back(stack->backends.back().get());
-        }
-        if (raw.size() == 1) {
-          stack->view = raw[0];
-        } else {
-          auto fanout = std::make_unique<filter::MultiServerFilter>(
-              ring, std::move(raw));
-          stack->fanout = fanout.get();
-          stack->owned_filter = std::move(fanout);
-          stack->view = stack->owned_filter.get();
-        }
-      } else {
-        auto session =
-            rpc::MultiServerSession::ConnectUnix(ring, entry.slices);
-        if (!session.ok()) return session.status();
-        stack->session = std::move(*session);
-        stack->fanout = stack->session->filter();
-        stack->view = stack->session->filter();
-      }
       auto it = seeds.find(entry.doc_id);
-      const prg::Seed& seed = it == seeds.end() ? default_seed : it->second;
-      return router->FinishStack(stack.get(), ring, seed);
+      SSDB_ASSIGN_OR_RETURN(
+          stack->db,
+          make_db(entry, it == seeds.end() ? default_seed : it->second));
+      stack->db->aggregation_engine()->set_verify(options.verify_aggregate);
+      // A catalog entry listing the wrong slices (or paired with the wrong
+      // seed) fails at open, not with silently wrong answers.
+      return stack->db->ProbeShares();
     }();
     if (!built.ok()) {
       built = Attribute(built, entry);
@@ -171,6 +102,29 @@ StatusOr<std::unique_ptr<Router>> Router::Open(
   return router;
 }
 
+StatusOr<std::unique_ptr<Router>> Router::Open(
+    ShardCatalog catalog, const mapping::TagMap* map,
+    const prg::Seed& default_seed,
+    const std::map<std::string, prg::Seed>& seeds,
+    const core::CorpusOptions& options) {
+  auto make_db = [&](const ShardEntry& entry, const prg::Seed& seed)
+      -> StatusOr<std::unique_ptr<core::EncryptedXmlDatabase>> {
+    if (options.local) {
+      return core::EncryptedXmlDatabase::OpenSlices(entry.slices, *map, seed,
+                                                    options.p, options.e);
+    }
+    std::vector<std::unique_ptr<rpc::Channel>> channels;
+    for (const std::string& path : entry.slices) {
+      SSDB_ASSIGN_OR_RETURN(std::unique_ptr<rpc::Channel> channel,
+                            rpc::ConnectUnix(path));
+      channels.push_back(std::move(channel));
+    }
+    return core::EncryptedXmlDatabase::ConnectRemoteMulti(
+        std::move(channels), *map, seed, options.p, options.e);
+  };
+  return Build(std::move(catalog), default_seed, seeds, options, make_db);
+}
+
 StatusOr<std::unique_ptr<Router>> Router::FromBackends(
     ShardCatalog catalog, const mapping::TagMap* map,
     const prg::Seed& default_seed,
@@ -178,58 +132,25 @@ StatusOr<std::unique_ptr<Router>> Router::FromBackends(
     const core::CorpusOptions& options,
     const std::map<std::string, std::vector<filter::ServerFilter*>>&
         backends) {
-  auto field = gf::Field::Make(options.p, options.e);
-  if (!field.ok()) return field.status();
-  gf::Ring ring(*field);
-  std::unique_ptr<Router> router(
-      new Router(std::move(catalog), map, options));
-  for (const ShardEntry& entry : router->catalog_.entries()) {
+  for (const ShardEntry& entry : catalog.entries()) {
     auto it = backends.find(entry.doc_id);
     if (it == backends.end() || it->second.empty()) {
       return Status::InvalidArgument("no backends injected for doc " +
                                      entry.doc_id);
     }
-    auto stack = std::make_unique<DocStack>();
-    stack->entry = &entry;
-    if (it->second.size() == 1) {
-      stack->view = it->second[0];
-    } else {
-      auto fanout =
-          std::make_unique<filter::MultiServerFilter>(ring, it->second);
-      stack->fanout = fanout.get();
-      stack->owned_filter = std::move(fanout);
-      stack->view = stack->owned_filter.get();
-    }
-    auto seed_it = seeds.find(entry.doc_id);
-    const prg::Seed& seed =
-        seed_it == seeds.end() ? default_seed : seed_it->second;
-    Status built = router->FinishStack(stack.get(), ring, seed);
-    if (!built.ok()) {
-      built = Attribute(built, entry);
-      if (!options.partial_ok) return built;
-      router->unreachable_.push_back(
-          MissingDoc{entry.doc_id, entry.group, std::move(built)});
-      continue;
-    }
-    router->by_doc_.emplace(entry.doc_id, stack.get());
-    router->stacks_.push_back(std::move(stack));
   }
-  if (router->stacks_.empty() && !router->unreachable_.empty()) {
-    const Status& first = router->unreachable_.front().error;
-    return Status(first.code(),
-                  "all " + std::to_string(router->unreachable_.size()) +
-                      " documents unreachable; first: " + first.message());
-  }
-  return router;
+  auto make_db = [&](const ShardEntry& entry, const prg::Seed& seed) {
+    return core::EncryptedXmlDatabase::FromFilters(
+        backends.at(entry.doc_id), *map, seed, options.p, options.e);
+  };
+  return Build(std::move(catalog), default_seed, seeds, options, make_db);
 }
 
 Router::~Router() = default;
 
 uint64_t Router::bytes_on_wire() const {
   uint64_t total = 0;
-  for (const auto& stack : stacks_) {
-    if (stack->session != nullptr) total += stack->session->bytes_on_wire();
-  }
+  for (const auto& stack : stacks_) total += stack->db->bytes_on_wire();
   return total;
 }
 
@@ -241,19 +162,15 @@ StatusOr<DocResult> Router::RunOnStack(DocStack* stack,
   // own to consult the health view.
   Status health = CheckHealth(*stack->entry);
   if (!health.ok()) return health;
+  SSDB_ASSIGN_OR_RETURN(core::QueryResult result,
+                        stack->db->QueryParsed(query, options_.engine, mode));
   DocResult out;
   out.doc_id = stack->entry->doc_id;
   out.group = stack->entry->group;
-  if (query.aggregate != query::Aggregate::kNone) {
-    out.is_aggregate = true;
-    auto result = stack->agg->Execute(stack->engine, query, mode, &out.stats);
-    if (!result.ok()) return result.status();
-    out.aggregate = std::move(*result);
-  } else {
-    auto result = stack->engine->Execute(query, mode, &out.stats);
-    if (!result.ok()) return result.status();
-    out.nodes = std::move(*result);
-  }
+  out.is_aggregate = result.is_aggregate;
+  out.aggregate = std::move(result.aggregate);
+  out.nodes = std::move(result.nodes);
+  out.stats = result.stats;
   return out;
 }
 
@@ -280,75 +197,47 @@ StatusOr<DocResult> Router::QueryDoc(std::string_view doc_id,
   return result;
 }
 
-StatusOr<DocMutation> Router::DriveOnStack(DocStack* stack,
-                                           encode::PlannedMutation planned) {
-  // Same fail-fast health gate as queries: don't prepare a txn the group
+StatusOr<DocMutation> Router::MutateDoc(
+    std::string_view doc_id,
+    const std::function<StatusOr<core::MutationResult>(
+        core::EncryptedXmlDatabase*)>& mutate) {
+  SSDB_ASSIGN_OR_RETURN(DocStack * stack, FindStack(doc_id));
+  const ShardEntry& entry = *stack->entry;
+  // Same fail-fast health gate as queries: don't start a txn the group
   // cannot finish while a slice server is known down.
-  SSDB_RETURN_IF_ERROR(CheckHealth(*stack->entry));
-  Status prepared = stack->view->PrepareMutation(planned.txn, planned.plans);
-  if (!prepared.ok()) {
-    (void)stack->view->AbortMutation(planned.txn);  // best-effort cleanup
-    return prepared;
-  }
-  SSDB_RETURN_IF_ERROR(stack->view->CommitMutation(planned.txn));
-  DocMutation out;
-  out.doc_id = stack->entry->doc_id;
-  out.group = stack->entry->group;
-  out.version = planned.txn;
-  out.stats = planned.stats;
-  return out;
+  SSDB_RETURN_IF_ERROR(Attribute(CheckHealth(entry), entry));
+  StatusOr<core::MutationResult> done = mutate(stack->db.get());
+  if (!done.ok()) return Attribute(done.status(), entry);
+  return DocMutation{entry.doc_id, entry.group, done->version, done->stats};
 }
 
 StatusOr<DocMutation> Router::UpdateDoc(
     std::string_view doc_id, uint32_t pre, std::string_view new_tag,
     const std::optional<std::string>& new_text) {
-  SSDB_ASSIGN_OR_RETURN(DocStack * stack, FindStack(doc_id));
-  auto planned = stack->mutator->PlanUpdate(pre, new_tag, new_text);
-  if (!planned.ok()) return Attribute(planned.status(), *stack->entry);
-  auto result = DriveOnStack(stack, std::move(*planned));
-  if (!result.ok()) return Attribute(result.status(), *stack->entry);
-  return result;
+  return MutateDoc(doc_id, [&](core::EncryptedXmlDatabase* db) {
+    return db->Update(pre, new_tag, new_text);
+  });
 }
 
 StatusOr<DocMutation> Router::InsertDoc(std::string_view doc_id,
                                         uint32_t parent_pre,
                                         std::string_view fragment_xml) {
-  SSDB_ASSIGN_OR_RETURN(DocStack * stack, FindStack(doc_id));
-  auto planned = stack->mutator->PlanInsert(parent_pre, fragment_xml);
-  if (!planned.ok()) return Attribute(planned.status(), *stack->entry);
-  auto result = DriveOnStack(stack, std::move(*planned));
-  if (!result.ok()) return Attribute(result.status(), *stack->entry);
-  return result;
+  return MutateDoc(doc_id, [&](core::EncryptedXmlDatabase* db) {
+    return db->Insert(parent_pre, fragment_xml);
+  });
 }
 
 StatusOr<DocMutation> Router::DeleteDoc(std::string_view doc_id,
                                         uint32_t pre) {
-  SSDB_ASSIGN_OR_RETURN(DocStack * stack, FindStack(doc_id));
-  auto planned = stack->mutator->PlanDelete(pre);
-  if (!planned.ok()) return Attribute(planned.status(), *stack->entry);
-  auto result = DriveOnStack(stack, std::move(*planned));
-  if (!result.ok()) return Attribute(result.status(), *stack->entry);
-  return result;
+  return MutateDoc(doc_id, [&](core::EncryptedXmlDatabase* db) {
+    return db->Delete(pre);
+  });
 }
 
 Status Router::RecoverDoc(std::string_view doc_id) {
   SSDB_ASSIGN_OR_RETURN(DocStack * stack, FindStack(doc_id));
-  for (int round = 0; round < 64; ++round) {
-    auto states = stack->view->MutationStates();
-    if (!states.ok()) return Attribute(states.status(), *stack->entry);
-    uint64_t pending = 0;
-    uint64_t committed = 0;
-    for (const storage::MutationState& st : *states) {
-      pending = std::max(pending, st.pending_txn);
-      committed = std::max(committed, st.version);
-    }
-    if (pending == 0) return Status::OK();
-    Status verdict = committed >= pending
-                         ? stack->view->CommitMutation(pending)
-                         : stack->view->AbortMutation(pending);
-    if (!verdict.ok()) return Attribute(verdict, *stack->entry);
-  }
-  return Attribute(Status::Internal("mutation recovery did not converge"),
+  Status health = CheckHealth(*stack->entry);
+  return Attribute(health.ok() ? stack->db->RecoverMutations() : health,
                    *stack->entry);
 }
 

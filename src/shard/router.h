@@ -1,8 +1,9 @@
 /// Shard router (DESIGN.md §10): the stateless coordinator that turns the
 /// one-document query stack into a corpus database. Given a ShardCatalog —
-/// document id -> (server group, slice set) — it owns one client stack
-/// (channels or local stores, ClientFilter, engines, AggregationEngine) per
-/// document and offers two entry points:
+/// document id -> (server group, slice set) — it owns one client stack per
+/// document, a core::EncryptedXmlDatabase over the document's slices
+/// (sockets, local slice files, or injected filters), and offers two entry
+/// points:
 ///
 ///  * QueryDoc: a query tagged with a document id runs against the owning
 ///    group alone — exactly the single-document pipeline, plus routing.
@@ -27,6 +28,7 @@
 #ifndef SSDB_SHARD_ROUTER_H_
 #define SSDB_SHARD_ROUTER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -36,19 +38,15 @@
 
 #include "agg/aggregation.h"
 #include "control/health.h"
+#include "core/database.h"
 #include "core/options.h"
 #include "encode/reshare.h"
-#include "filter/client_filter.h"
-#include "filter/multi_server_filter.h"
+#include "filter/server_filter.h"
 #include "mapping/tag_map.h"
 #include "prg/seed.h"
-#include "query/advanced_engine.h"
 #include "query/engine.h"
-#include "query/simple_engine.h"
 #include "query/xpath.h"
-#include "rpc/multi_session.h"
 #include "shard/catalog.h"
-#include "storage/node_store.h"
 #include "util/statusor.h"
 
 namespace ssdb::shard {
@@ -107,7 +105,7 @@ class Router {
  public:
   // Opens every document's stack from the catalog: slice endpoints are
   // dialed as unix sockets, or opened as local slice files when
-  // options.local is set. `map` must outlive the router; `seeds` may give
+  // options.local is set. Each stack copies `map`; `seeds` may give
   // individual documents their own seed (strongly recommended for documents
   // sharing physical servers), all others use `default_seed`.
   static StatusOr<std::unique_ptr<Router>> Open(
@@ -180,30 +178,22 @@ class Router {
   // The single-document client pipeline, owned per catalog entry.
   struct DocStack {
     const ShardEntry* entry = nullptr;  // points into catalog_
-    std::unique_ptr<rpc::MultiServerSession> session;  // remote mode
-    std::vector<std::unique_ptr<storage::NodeStore>> stores;  // local mode
-    std::vector<std::unique_ptr<filter::ServerFilter>> backends;
-    std::unique_ptr<filter::ServerFilter> owned_filter;
-    // The fan-out filter when the stack has one (owned_filter or the
-    // session's); health propagation target. Null for single-backend
-    // injected/local stacks — the router-level check covers those.
-    filter::MultiServerFilter* fanout = nullptr;
-    filter::ServerFilter* view = nullptr;
-    std::unique_ptr<filter::ClientFilter> client;
-    std::unique_ptr<query::SimpleEngine> simple;
-    std::unique_ptr<query::AdvancedEngine> advanced;
-    std::unique_ptr<agg::AggregationEngine> agg;
-    std::unique_ptr<encode::Mutator> mutator;  // mutation planner (§12)
-    query::QueryEngine* engine = nullptr;  // selected by options.engine
+    std::unique_ptr<core::EncryptedXmlDatabase> db;
   };
+  // Builds one document's facade over the given seed.
+  using MakeDb = std::function<StatusOr<
+      std::unique_ptr<core::EncryptedXmlDatabase>>(const ShardEntry&,
+                                                   const prg::Seed&)>;
 
-  Router(ShardCatalog catalog, const mapping::TagMap* map,
-         core::CorpusOptions options)
-      : catalog_(std::move(catalog)), map_(map), options_(options) {}
+  Router(ShardCatalog catalog, core::CorpusOptions options)
+      : catalog_(std::move(catalog)), options_(options) {}
 
-  // Builds the client half of a stack (filter, engines) over stack->view.
-  Status FinishStack(DocStack* stack, const gf::Ring& ring,
-                     const prg::Seed& seed);
+  // The per-entry build loop shared by Open and FromBackends: makes each
+  // document's facade, configures and probes it, and applies partial_ok.
+  static StatusOr<std::unique_ptr<Router>> Build(
+      ShardCatalog catalog, const prg::Seed& default_seed,
+      const std::map<std::string, prg::Seed>& seeds,
+      const core::CorpusOptions& options, const MakeDb& make_db);
 
   // Runs one query against one stack; errors come back unprefixed.
   StatusOr<DocResult> RunOnStack(DocStack* stack, const query::Query& query,
@@ -214,16 +204,17 @@ class Router {
   // The stack owning `doc_id`, or the attributed open-time/NotFound error.
   StatusOr<DocStack*> FindStack(std::string_view doc_id);
 
-  // Prepares + commits an already planned mutation on the stack's group;
-  // errors come back unprefixed (callers attribute).
-  StatusOr<DocMutation> DriveOnStack(DocStack* stack,
-                                     encode::PlannedMutation planned);
+  // Health-gates one facade mutation on `doc_id`'s stack and attributes
+  // the outcome.
+  StatusOr<DocMutation> MutateDoc(
+      std::string_view doc_id,
+      const std::function<StatusOr<core::MutationResult>(
+          core::EncryptedXmlDatabase*)>& mutate);
 
   // Unavailable naming the first kDown slice server of `entry`, or OK.
   Status CheckHealth(const ShardEntry& entry) const;
 
   ShardCatalog catalog_;
-  const mapping::TagMap* map_;
   core::CorpusOptions options_;
   const control::HealthView* health_ = nullptr;
   std::vector<std::unique_ptr<DocStack>> stacks_;  // catalog order

@@ -320,8 +320,10 @@ TEST_F(AggTest, RemoteAggregateIsOneExchangeAndOGroupsBytes) {
     rpc::ServerThread server_thread((*served)->ring(),
                                     (*served)->server_filter(),
                                     std::move(pair.server));
-    auto remote = core::EncryptedXmlDatabase::ConnectRemote(
-        std::move(pair.client), map_, seed_, 83, 1);
+    std::vector<std::unique_ptr<rpc::Channel>> channels;
+    channels.push_back(std::move(pair.client));
+    auto remote = core::EncryptedXmlDatabase::ConnectRemoteMulti(
+        std::move(channels), map_, seed_, 83, 1);
     ASSERT_TRUE(remote.ok());
 
     // Materialized baseline: bytes grow with the candidate set.
@@ -363,9 +365,12 @@ TEST_F(AggTest, RemoteAggregateIsOneExchangeAndOGroupsBytes) {
     EXPECT_EQ(grouped->aggregate.Total(),
               (*served)->encode_result().node_count);
 
-    auto shutdown = static_cast<rpc::RemoteServerFilter*>(
-                        (*remote)->server_filter())
-                        ->Shutdown();
+    // A remote client talks through a fan-out; with one channel its only
+    // backend is the RemoteServerFilter.
+    auto* fanout =
+        static_cast<filter::MultiServerFilter*>((*remote)->server_filter());
+    auto shutdown =
+        static_cast<rpc::RemoteServerFilter*>(fanout->backend(0))->Shutdown();
     ASSERT_TRUE(shutdown.ok());
   }
 }

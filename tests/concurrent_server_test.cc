@@ -1,6 +1,5 @@
-// Concurrency battery for the multi-client transport (DESIGN.md §7),
-// run against BOTH readiness backends (epoll where compiled in, and the
-// portable poll fallback — rpc/event_poller.h):
+// Concurrency battery for the multi-client transport (DESIGN.md §7) and
+// its epoll readiness backend (rpc/event_poller.h):
 //  * N client threads hammer one ConcurrentServer with mixed scalar and
 //    batch ops against a shared XMark database; every thread's query
 //    results must equal the plaintext ground truth;
@@ -36,7 +35,6 @@
 #include "query/simple_engine.h"
 #include "rpc/client.h"
 #include "rpc/concurrent_server.h"
-#include "rpc/event_poller.h"
 #include "rpc/protocol.h"
 #include "rpc/socket_channel.h"
 #include "test_helpers.h"
@@ -54,20 +52,14 @@ std::string SocketPath(const char* name) {
          ".sock";
 }
 
-std::vector<PollerBackend> AvailableBackends() {
-  std::vector<PollerBackend> backends{PollerBackend::kPoll};
-  if (EpollAvailable()) backends.push_back(PollerBackend::kEpoll);
-  return backends;
-}
-
 // Shared XMark database plus a running ConcurrentServer over it.
 struct ServerFixture {
   std::unique_ptr<TestDb> db;
   std::unique_ptr<ConcurrentServer> server;
   std::string path;
 
-  ServerFixture(const char* name, PollerBackend backend,
-                ConcurrentServerOptions options = {}) {
+  explicit ServerFixture(const char* name,
+                         ConcurrentServerOptions options = {}) {
     xmark::GeneratorOptions gen;
     gen.target_bytes = 16 << 10;
     gen.seed = 7;
@@ -76,12 +68,9 @@ struct ServerFixture {
     auto listener = UnixServerSocket::Listen(path);
     SSDB_CHECK(listener.ok());
     if (options.threads == 0) options.threads = 4;
-    options.poller = backend;
     server = std::make_unique<ConcurrentServer>(
         db->ring, db->server.get(), std::move(*listener), options);
     SSDB_CHECK(server->Start().ok());
-    SSDB_CHECK(std::string(server->poller_name()) ==
-               PollerBackendName(backend));
   }
 
   std::unique_ptr<RemoteServerFilter> Connect() {
@@ -120,11 +109,10 @@ bool WaitForAtLeast(Fn value, uint64_t want, int rounds = 1000) {
   return value() >= want;
 }
 
-class ConcurrentServerTest
-    : public ::testing::TestWithParam<PollerBackend> {};
+class ConcurrentServerTest : public ::testing::Test {};
 
-TEST_P(ConcurrentServerTest, ManyClientsMatchGroundTruth) {
-  ServerFixture fixture("hammer", GetParam());
+TEST_F(ConcurrentServerTest, ManyClientsMatchGroundTruth) {
+  ServerFixture fixture("hammer");
   const std::vector<std::string> queries = {
       "/site//person", "/site/people/person//city", "/site//bidder",
       "/site/*"};
@@ -194,10 +182,10 @@ TEST_P(ConcurrentServerTest, ManyClientsMatchGroundTruth) {
 // subset doing real share ops, ground truth throughout; afterwards the
 // idle sweep must reclaim every session (cursors included) without any
 // client closing cleanly.
-TEST_P(ConcurrentServerTest, HighConnectionSoakAndIdleSweep) {
+TEST_F(ConcurrentServerTest, HighConnectionSoakAndIdleSweep) {
   ConcurrentServerOptions options;
   options.idle_timeout_seconds = 1;
-  ServerFixture fixture("soak", GetParam(), options);
+  ServerFixture fixture("soak", options);
   constexpr size_t kConnections = 256;
   constexpr size_t kHot = 32;
 
@@ -271,11 +259,11 @@ TEST_P(ConcurrentServerTest, HighConnectionSoakAndIdleSweep) {
             fixture.server->Snapshot().connections_closed);
 }
 
-TEST_P(ConcurrentServerTest, BackpressurePausesAcceptAtBudget) {
+TEST_F(ConcurrentServerTest, BackpressurePausesAcceptAtBudget) {
   ConcurrentServerOptions options;
   options.threads = 2;
   options.max_connections = 2;
-  ServerFixture fixture("budget", GetParam(), options);
+  ServerFixture fixture("budget", options);
 
   auto a = fixture.Connect();
   auto b = fixture.Connect();
@@ -308,8 +296,8 @@ TEST_P(ConcurrentServerTest, BackpressurePausesAcceptAtBudget) {
   EXPECT_EQ(fixture.server->Snapshot().connections_closed, 3u);
 }
 
-TEST_P(ConcurrentServerTest, CursorsAreInvisibleAcrossConnections) {
-  ServerFixture fixture("cursors", GetParam());
+TEST_F(ConcurrentServerTest, CursorsAreInvisibleAcrossConnections) {
+  ServerFixture fixture("cursors");
   auto a = fixture.Connect();
   auto b = fixture.Connect();
   auto root = a->Root();
@@ -352,8 +340,8 @@ TEST_P(ConcurrentServerTest, CursorsAreInvisibleAcrossConnections) {
   ASSERT_TRUE(b->Shutdown().ok());
 }
 
-TEST_P(ConcurrentServerTest, MidBatchDisconnectCleansUpAndKeepsServing) {
-  ServerFixture fixture("disconnect", GetParam());
+TEST_F(ConcurrentServerTest, MidBatchDisconnectCleansUpAndKeepsServing) {
+  ServerFixture fixture("disconnect");
   auto root = *fixture.db->server->Root();
 
   // Ten clients in a row abandon a half-read cursor by dying abruptly —
@@ -387,10 +375,10 @@ TEST_P(ConcurrentServerTest, MidBatchDisconnectCleansUpAndKeepsServing) {
   EXPECT_EQ(fixture.server->Snapshot().connections_closed, 11u);
 }
 
-TEST_P(ConcurrentServerTest, ShutdownUnblocksWorkerStalledOnPartialFrame) {
+TEST_F(ConcurrentServerTest, ShutdownUnblocksWorkerStalledOnPartialFrame) {
   ConcurrentServerOptions options;
   options.threads = 2;
-  ServerFixture fixture("stall", GetParam(), options);
+  ServerFixture fixture("stall", options);
   auto channel = ConnectUnix(fixture.path);
   ASSERT_TRUE(channel.ok());
   // Two of the four frame-header bytes, then silence: the dispatcher hands
@@ -418,12 +406,12 @@ TEST_P(ConcurrentServerTest, ShutdownUnblocksWorkerStalledOnPartialFrame) {
 // max_write_buffer is closed — cursors reclaimed — instead of buffering
 // without bound; and a tail the client eventually drains arrives
 // byte-identical, with the session re-armed for reads afterwards.
-TEST_P(ConcurrentServerTest, SlowReaderBuffersThenBudgetCloses) {
+TEST_F(ConcurrentServerTest, SlowReaderBuffersThenBudgetCloses) {
   ConcurrentServerOptions options;
   options.threads = 2;
   options.so_sndbuf = 4096;            // tiny socket: force short writes
   options.max_write_buffer = 1 << 20;  // 1 MiB budget
-  ServerFixture fixture("slowreader", GetParam(), options);
+  ServerFixture fixture("slowreader", options);
   filter::ServerFilter* local = fixture.db->server.get();
   auto root = *local->Root();
   gf::RingElem base_share = *local->FetchShare(2);
@@ -521,12 +509,12 @@ TEST_P(ConcurrentServerTest, SlowReaderBuffersThenBudgetCloses) {
 // Soak (labelled slow): K stalled readers hold buffered response tails
 // for the whole run while hot clients hammer; every hot op returns
 // ground truth, nothing hangs, and all K tails drain intact at the end.
-TEST_P(ConcurrentServerTest, SlowReaderSoakKeepsHotClientsServed) {
+TEST_F(ConcurrentServerTest, SlowReaderSoakKeepsHotClientsServed) {
   ConcurrentServerOptions options;
   options.threads = 2;
   options.so_sndbuf = 4096;
   options.max_write_buffer = 8 << 20;
-  ServerFixture fixture("slowsoak", GetParam(), options);
+  ServerFixture fixture("slowsoak", options);
   filter::ServerFilter* local = fixture.db->server.get();
   gf::RingElem base_share = *local->FetchShare(2);
   std::vector<gf::Elem> base_evals = *local->EvalAtBatch({1, 2, 3, 4}, 5);
@@ -585,8 +573,8 @@ TEST_P(ConcurrentServerTest, SlowReaderSoakKeepsHotClientsServed) {
   EXPECT_EQ(fixture.server->Snapshot().bytes_buffered, 0u);
 }
 
-TEST_P(ConcurrentServerTest, GracefulShutdownClosesIdleConnections) {
-  ServerFixture fixture("drain", GetParam());
+TEST_F(ConcurrentServerTest, GracefulShutdownClosesIdleConnections) {
+  ServerFixture fixture("drain");
   auto a = fixture.Connect();
   auto b = fixture.Connect();
   EXPECT_TRUE(a->Root().ok());
@@ -619,12 +607,6 @@ TEST(IdleSweepWaitTest, QuarterOfTimeoutWithClampsAndNoOverflow) {
   EXPECT_EQ(IdleSweepWaitMs(30'000'000), 3'600'000);
   EXPECT_EQ(IdleSweepWaitMs(std::numeric_limits<int>::max()), 3'600'000);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Pollers, ConcurrentServerTest, ::testing::ValuesIn(AvailableBackends()),
-    [](const ::testing::TestParamInfo<PollerBackend>& info) {
-      return std::string(PollerBackendName(info.param));
-    });
 
 }  // namespace
 }  // namespace ssdb::rpc

@@ -109,8 +109,10 @@ TEST_F(CoreTest, RemoteClientOverInProcessChannel) {
                                   (*server_db)->server_filter(),
                                   std::move(pair.server));
 
-  auto client_db = EncryptedXmlDatabase::ConnectRemote(
-      std::move(pair.client), map, seed_, 83, 1);
+  std::vector<std::unique_ptr<rpc::Channel>> channels;
+  channels.push_back(std::move(pair.client));
+  auto client_db = EncryptedXmlDatabase::ConnectRemoteMulti(
+      std::move(channels), map, seed_, 83, 1);
   ASSERT_TRUE(client_db.ok());
 
   auto remote_result =
@@ -169,8 +171,10 @@ TEST_F(CoreTest, SealedDatabaseRevealsMatchesEndToEnd) {
   rpc::ServerThread server_thread((*server_db)->ring(),
                                   (*server_db)->server_filter(),
                                   std::move(pair.server));
-  auto client_db = EncryptedXmlDatabase::ConnectRemote(
-      std::move(pair.client), map, seed_, 83, 1);
+  std::vector<std::unique_ptr<rpc::Channel>> channels;
+  channels.push_back(std::move(pair.client));
+  auto client_db = EncryptedXmlDatabase::ConnectRemoteMulti(
+      std::move(channels), map, seed_, 83, 1);
   ASSERT_TRUE(client_db.ok());
 
   auto result = (*client_db)

@@ -54,8 +54,10 @@ TEST(IntegrationTest, FullPipelineOverUnixSocketAgainstGroundTruth) {
   // 4. Client side: connect with only the seed + map.
   auto channel = rpc::ConnectUnix(socket_path);
   ASSERT_TRUE(channel.ok());
-  auto client_db = core::EncryptedXmlDatabase::ConnectRemote(
-      std::move(*channel), map, seed, 83, 1);
+  std::vector<std::unique_ptr<rpc::Channel>> channels;
+  channels.push_back(std::move(*channel));
+  auto client_db = core::EncryptedXmlDatabase::ConnectRemoteMulti(
+      std::move(channels), map, seed, 83, 1);
   ASSERT_TRUE(client_db.ok());
 
   // 5. Ground truth on the plaintext DOM.

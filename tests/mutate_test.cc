@@ -30,7 +30,6 @@
 #include "core/options.h"
 #include "encode/reshare.h"
 #include "filter/client_filter.h"
-#include "filter/multi_server_filter.h"
 #include "filter/server_filter.h"
 #include "gf/field.h"
 #include "gf/ring.h"
@@ -499,52 +498,20 @@ TEST_F(MutateTest, CrashBetweenPhasesRecoversOnDisk) {
                   .ok());
   db.reset();
 
-  struct Stack {
-    std::vector<std::unique_ptr<storage::NodeStore>> stores;
-    std::vector<std::unique_ptr<filter::ServerFilter>> backends;
-    std::unique_ptr<filter::MultiServerFilter> fanout;
-  };
-  auto open_stack = [&]() {
-    Stack s;
-    std::vector<filter::ServerFilter*> ptrs;
-    for (uint32_t i = 0; i < 2; ++i) {
-      auto store =
-          storage::DiskNodeStore::Open(core::ShareSlicePath(base, i, 2));
-      SSDB_CHECK(store.ok()) << store.status().ToString();
-      s.stores.push_back(std::move(*store));
-      s.backends.push_back(std::make_unique<filter::LocalServerFilter>(
-          ring, s.stores.back().get()));
-      ptrs.push_back(s.backends.back().get());
-    }
-    s.fanout =
-        std::make_unique<filter::MultiServerFilter>(ring, std::move(ptrs));
-    return s;
-  };
-  // What a restarted coordinator runs (EncryptedXmlDatabase::
-  // RecoverMutations over reconnected slices): commit iff any slice
-  // committed, abort otherwise.
-  auto recover = [](filter::ServerFilter* view) -> Status {
-    for (int round = 0; round < 64; ++round) {
-      auto states = view->MutationStates();
-      if (!states.ok()) return states.status();
-      uint64_t pending = 0;
-      uint64_t committed = 0;
-      for (const storage::MutationState& st : *states) {
-        pending = std::max(pending, st.pending_txn);
-        committed = std::max(committed, st.version);
-      }
-      if (pending == 0) return Status::OK();
-      Status step = committed >= pending ? view->CommitMutation(pending)
-                                        : view->AbortMutation(pending);
-      if (!step.ok()) return step;
-    }
-    return Status::Internal("mutation recovery did not converge");
+  // What a restarted coordinator runs: reopen the slice files and drive
+  // any undecided txn with EncryptedXmlDatabase::RecoverMutations.
+  auto reopen = [&]() {
+    auto reopened = EncryptedXmlDatabase::OpenSlices(
+        {core::ShareSlicePath(base, 0, 2), core::ShareSlicePath(base, 1, 2)},
+        map, seed_, 83, 1);
+    SSDB_CHECK(reopened.ok()) << reopened.status().ToString();
+    return std::move(*reopened);
   };
 
   {
-    Stack s = open_stack();
+    auto s = reopen();
     // The journaled prepare survived the restart on exactly one slice.
-    auto states = s.fanout->MutationStates();
+    auto states = s->server_filter()->MutationStates();
     ASSERT_TRUE(states.ok()) << states.status().ToString();
     uint64_t pending = 0;
     int undecided = 0;
@@ -557,39 +524,38 @@ TEST_F(MutateTest, CrashBetweenPhasesRecoversOnDisk) {
 
     // No slice committed, so recovery rolls the txn back everywhere and
     // every slice reconstructs the original document.
-    ASSERT_TRUE(recover(s.fanout.get()).ok());
-    states = s.fanout->MutationStates();
+    ASSERT_TRUE(s->RecoverMutations().ok());
+    states = s->server_filter()->MutationStates();
     ASSERT_TRUE(states.ok());
     for (const storage::MutationState& st : *states) {
       EXPECT_EQ(st.pending_txn, 0u);
       EXPECT_EQ(st.version, 0u);
     }
-    filter::ClientFilter client(ring, prg::Prg(seed_), s.fanout.get());
-    ExpectSameDocument(Snapshot(&client, true), original);
+    ExpectSameDocument(Snapshot(s->client_filter(), true), original);
 
     // Round two: prepared everywhere, committed on slice 0, crash before
     // slice 1 hears the commit.
-    encode::Mutator mutator2(ring, map, prg::Prg(seed_), s.fanout.get());
+    encode::Mutator mutator2(ring, map, prg::Prg(seed_), s->server_filter());
     auto planned2 = mutator2.PlanUpdate(8, "book", std::nullopt);
     ASSERT_TRUE(planned2.ok()) << planned2.status().ToString();
     ASSERT_TRUE(
-        s.fanout->PrepareMutation(planned2->txn, planned2->plans).ok());
-    ASSERT_TRUE(s.backends[0]->CommitMutation(planned2->txn).ok());
+        s->server_filter()->PrepareMutation(planned2->txn, planned2->plans)
+            .ok());
+    ASSERT_TRUE(s->slice_filter(0)->CommitMutation(planned2->txn).ok());
   }  // crash: stores close with slice 1 still undecided
 
   {
-    Stack s = open_stack();
+    auto s = reopen();
     // Slice 0's commit is the verdict; recovery rolls slice 1 forward.
-    ASSERT_TRUE(recover(s.fanout.get()).ok());
-    auto states = s.fanout->MutationStates();
+    ASSERT_TRUE(s->RecoverMutations().ok());
+    auto states = s->server_filter()->MutationStates();
     ASSERT_TRUE(states.ok());
     for (const storage::MutationState& st : *states) {
       EXPECT_EQ(st.pending_txn, 0u);
       EXPECT_EQ(st.version, 1u);
     }
-    filter::ClientFilter client(ring, prg::Prg(seed_), s.fanout.get());
     auto expected = MakeDb(kLibBoxRetagged, map, 1, /*seal=*/true);
-    ExpectSameDocument(Snapshot(&client, true),
+    ExpectSameDocument(Snapshot(s->client_filter(), true),
                        Snapshot(expected->client_filter(), true));
   }
 }

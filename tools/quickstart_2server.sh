@@ -3,7 +3,9 @@
 # build directory: generate a document, produce key material, encode two
 # share slices, serve each over its own unix socket, query through the
 # concurrent fan-out session — and assert the answer matches a local
-# single-server run of the same query.
+# single-server run of the same query, and the same two slice files opened
+# locally. Then mutations, a 2-shard corpus, degraded mode and the usage
+# errors of ssdb_query. Registered as a ctest (label `tools`).
 #
 #   tools/quickstart_2server.sh [BUILD_DIR]   # default: build
 
@@ -28,6 +30,11 @@ query="/site//person"
 "$build_dir/ssdb_keygen" --map map.properties --seed seed.key
 "$build_dir/ssdb_encode" --map map.properties --seed seed.key \
     --xml doc.xml --out db.ssdb --servers=2
+
+# The two slice files opened locally (before any server has them open),
+# through the same fan-out the --connect client uses.
+"$build_dir/ssdb_query" --db db.ssdb --servers=2 \
+    --map map.properties --seed seed.key "$query" | tee local_two.out
 
 "$build_dir/ssdb_server" --db db.ssdb --servers=2 --share-index=0 \
     --socket "$work/s0.sock" &
@@ -64,6 +71,13 @@ if [ "$remote_pre" != "$local_pre" ]; then
   echo "MISMATCH: 2-server fan-out and single-server disagree"
   echo "  2-server: $remote_pre"
   echo "  1-server: $local_pre"
+  exit 1
+fi
+local_two_pre="$(grep '  pre:' local_two.out)"
+if [ "$local_two_pre" != "$remote_pre" ]; then
+  echo "MISMATCH: --db --servers=2 and --connect disagree"
+  echo "  --db:      $local_two_pre"
+  echo "  --connect: $remote_pre"
   exit 1
 fi
 if ! grep -q 'per-server trips:' two_server.out; then
@@ -114,6 +128,69 @@ restore_count="$(sed -n 's/.*count = \([0-9]*\) in.*/\1/p' restore_count.out)"
 if [ -z "$restore_count" ] || [ "$restore_count" != "$agg_count" ]; then
   echo "MISMATCH: count($query) after restoring the tag = '$restore_count'," \
        "want $agg_count"
+  exit 1
+fi
+
+# --- INSERT then DELETE over --connect (DESIGN.md §12) ----------------------
+# Insert a person under a leaf (a city has no element children, so the new
+# node lands at the city's pre + 1), find it, delete it again, and the
+# original count() must come back.
+"$build_dir/ssdb_query" --connect "$work/s0.sock,$work/s1.sock" \
+    --map map.properties --seed seed.key "/site//city" > cities.out
+city_pre="$(sed -n 's/^  pre: *\([0-9]*\).*/\1/p' cities.out)"
+if [ -z "$city_pre" ]; then
+  echo "MISSING: could not pick a city pre from the fetch output"
+  exit 1
+fi
+"$build_dir/ssdb_query" --connect "$work/s0.sock,$work/s1.sock" \
+    --map map.properties --seed seed.key \
+    --insert "$city_pre <person/>" "count($query)" "/site//city/person" \
+    | tee insert_count.out
+insert_count="$(sed -n 's/.*count = \([0-9]*\) in.*/\1/p' insert_count.out)"
+if [ -z "$insert_count" ] || [ "$insert_count" != "$((agg_count + 1))" ]; then
+  echo "MISMATCH: count($query) after INSERT = '$insert_count', want" \
+       "$((agg_count + 1))"
+  exit 1
+fi
+inserted_pre="$(sed -n 's/^  pre: *\([0-9]*\).*/\1/p' insert_count.out)"
+if [ "$inserted_pre" != "$((city_pre + 1))" ]; then
+  echo "MISMATCH: inserted person at pre '$inserted_pre', want" \
+       "$((city_pre + 1))"
+  exit 1
+fi
+"$build_dir/ssdb_query" --connect "$work/s0.sock,$work/s1.sock" \
+    --map map.properties --seed seed.key \
+    --delete "$inserted_pre" "count($query)" | tee delete_count.out
+if ! grep -q "delete pre=$inserted_pre committed: version=" delete_count.out
+then
+  echo "MISSING: DELETE did not report a committed mutation"
+  exit 1
+fi
+delete_count="$(sed -n 's/.*count = \([0-9]*\) in.*/\1/p' delete_count.out)"
+if [ -z "$delete_count" ] || [ "$delete_count" != "$agg_count" ]; then
+  echo "MISMATCH: count($query) after INSERT + DELETE = '$delete_count'," \
+       "want $agg_count"
+  exit 1
+fi
+
+# --- local catalog (DESIGN.md §10) ------------------------------------------
+# A --local catalog opens slice files directly; db1.ssdb is the
+# single-server reference encode, which no running server has open.
+cat > catalog_local.json <<EOF
+{
+  "version": 1,
+  "documents": [
+    {"id": "ref", "group": 0, "slices": ["$work/db1.ssdb"]}
+  ]
+}
+EOF
+"$build_dir/ssdb_query" --catalog catalog_local.json --local --doc ref \
+    --map map.properties --seed seed.key "$query" | tee catalog_local.out
+catalog_pre="$(grep '  pre:' catalog_local.out)"
+if [ "$catalog_pre" != "$local_pre" ]; then
+  echo "MISMATCH: --catalog --local --doc and --db disagree"
+  echo "  catalog: $catalog_pre"
+  echo "  --db:    $local_pre"
   exit 1
 fi
 
@@ -269,15 +346,31 @@ if [ -z "$partial_count" ] || [ "$partial_count" != "$agg_count" ]; then
   exit 1
 fi
 
-# Uniform exit statuses (DESIGN.md §11): usage errors exit 2.
-set +e
-"$build_dir/ssdb_query" --no-such-flag >/dev/null 2>&1
-usage_rc=$?
-set -e
-if [ "$usage_rc" != 2 ]; then
-  echo "MISMATCH: unknown flag exited $usage_rc, want 2"
-  exit 1
-fi
+# Uniform exit statuses (DESIGN.md §11): usage errors exit 2 — including
+# flags the chosen mode would otherwise ignore.
+expect_usage_error() {
+  local what="$1"
+  shift
+  set +e
+  "$build_dir/ssdb_query" "$@" >/dev/null 2>&1
+  local rc=$?
+  set -e
+  if [ "$rc" != 2 ]; then
+    echo "MISMATCH: $what exited $rc, want 2"
+    exit 1
+  fi
+}
+expect_usage_error "unknown flag" --no-such-flag
+expect_usage_error "--full-verify with --catalog" --catalog catalog.json \
+    --full-verify --map map.properties --seed seed.key "$query"
+expect_usage_error "--full-verify with --router" \
+    --router "$work/router.sock" --full-verify \
+    --map map.properties --seed seed.key "$query"
+expect_usage_error "--servers with --connect" --servers=2 \
+    --connect "$work/s0.sock,$work/s1.sock" \
+    --map map.properties --seed seed.key "$query"
+expect_usage_error "--servers with --catalog" --servers=2 \
+    --catalog catalog.json --map map.properties --seed seed.key "$query"
 
 echo "quickstart OK: 2-server fan-out matches single-server results," \
      "count() agrees ($agg_count), 2-shard corpus count agrees" \

@@ -27,7 +27,10 @@
 //
 // --connect may be repeated or comma-separated, one socket per share slice
 // in slice order (slice 0 first). --servers m with --db opens the m local
-// slice files of an `ssdb_encode --servers m` run.
+// slice files of an `ssdb_encode --servers m` run; it is a usage error with
+// --connect or in corpus mode, as is --full-verify in corpus mode. Every
+// --connect run, and every --db run over more than one slice, first probes
+// the share sum (EncryptedXmlDatabase::ProbeShares).
 //
 // Aggregates (DESIGN.md §8): write the aggregate form directly —
 // "count(/site//item)", "sum(//person)", "exists(/site/people)" — or pass
@@ -66,15 +69,10 @@
 
 #include "agg/aggregation.h"
 #include "core/database.h"
-#include "encode/reshare.h"
-#include "filter/multi_server_filter.h"
-#include "rpc/client.h"
-#include "rpc/multi_session.h"
 #include "rpc/socket_channel.h"
 #include "shard/catalog.h"
 #include "shard/catalog_client.h"
 #include "shard/router.h"
-#include "storage/table.h"
 #include "tools/tool_util.h"
 
 int main(int argc, char** argv) {
@@ -247,6 +245,16 @@ int main(int argc, char** argv) {
   if (servers == 0) {
     return tools::UsageError(flags, "--servers must be >= 1");
   }
+  // A mode that would ignore these flags rejects them instead.
+  if (flags.Provided("servers") && (corpus_mode || !connects.empty())) {
+    return tools::UsageError(
+        flags, "--servers applies to --db only (--connect lists one socket "
+               "per slice; a catalog lists the slices)");
+  }
+  if (*full_verify_flag && corpus_mode) {
+    return tools::UsageError(
+        flags, "--full-verify applies to --db and --connect only");
+  }
   if (!agg_wrap.empty() && agg_wrap != "count" && agg_wrap != "sum" &&
       agg_wrap != "exists") {
     return tools::UsageError(flags, "--agg must be count, sum, or exists");
@@ -258,7 +266,16 @@ int main(int argc, char** argv) {
   if (!map.ok()) return tools::Fail(map.status());
   auto seed = prg::Seed::LoadFromFile(seed_path);
   if (!seed.ok()) return tools::Fail(seed.status());
+  const core::EngineKind engine =
+      advanced ? core::EngineKind::kAdvanced : core::EngineKind::kSimple;
+  const query::MatchMode mode =
+      strict ? query::MatchMode::kEquality : query::MatchMode::kContainment;
 
+  // One client stack per document: a shard::Router over the catalog in
+  // corpus mode, otherwise one facade over the --db slice files or the
+  // --connect sockets.
+  std::unique_ptr<shard::Router> router;
+  std::unique_ptr<core::EncryptedXmlDatabase> db;
   if (corpus_mode) {
     shard::ShardCatalog catalog;
     if (!router_sock.empty()) {
@@ -274,119 +291,187 @@ int main(int argc, char** argv) {
     copts.p = p;
     copts.e = e;
     copts.local = *local_flag;
-    copts.engine = advanced ? core::EngineKind::kAdvanced
-                            : core::EngineKind::kSimple;
+    copts.engine = engine;
     copts.verify_aggregate = verify_agg;
     copts.partial_ok = *partial_flag;
-    auto router = shard::Router::Open(std::move(catalog), &*map, *seed, {},
+    auto opened = shard::Router::Open(std::move(catalog), &*map, *seed, {},
                                       copts);
-    if (!router.ok()) return tools::Fail(router.status());
-    for (const shard::MissingDoc& missing : (*router)->unreachable()) {
+    if (!opened.ok()) return tools::Fail(opened.status());
+    router = std::move(*opened);
+    for (const shard::MissingDoc& missing : router->unreachable()) {
       std::fprintf(stderr, "warning: %s\n",
                    missing.error.ToString().c_str());
     }
-    query::MatchMode corpus_match = strict ? query::MatchMode::kEquality
-                                           : query::MatchMode::kContainment;
-
-    // Mutations route to one document's group (--doc, enforced above) and
-    // run before the queries so a query on the same command line observes
-    // the mutated document.
-    if (*recover_flag) {
-      Status recovered = (*router)->RecoverDoc(doc_id);
-      if (!recovered.ok()) return tools::Fail(recovered);
-      std::printf("recovered pending mutations  [doc %s]\n", doc_id.c_str());
-    }
-    auto print_doc_mutation = [](const char* what, uint32_t pre,
-                                 const shard::DocMutation& done) {
-      std::printf("%s pre=%u committed  [doc %s, group %u]: version=%llu "
-                  "(path=%llu subtree=%llu children=%llu bytes=%llu)\n",
-                  what, pre, done.doc_id.c_str(), done.group,
-                  (unsigned long long)done.version,
-                  (unsigned long long)done.stats.path_nodes,
-                  (unsigned long long)done.stats.subtree_nodes,
-                  (unsigned long long)done.stats.children_fetched,
-                  (unsigned long long)done.stats.reshared_bytes);
-    };
-    for (const SetCmd& cmd : sets) {
-      auto done = (*router)->UpdateDoc(doc_id, cmd.pre, cmd.tag, cmd.text);
-      if (!done.ok()) return tools::Fail(done.status());
-      print_doc_mutation("update", cmd.pre, *done);
-    }
-    for (const InsertCmd& cmd : inserts) {
-      auto done = (*router)->InsertDoc(doc_id, cmd.pre, cmd.fragment);
-      if (!done.ok()) return tools::Fail(done.status());
-      print_doc_mutation("insert", cmd.pre, *done);
-    }
-    for (uint32_t pre : deletes) {
-      auto done = (*router)->DeleteDoc(doc_id, pre);
-      if (!done.ok()) return tools::Fail(done.status());
-      print_doc_mutation("delete", pre, *done);
-    }
-
-    auto print_aggregate = [&](const std::string& text,
-                               const query::Query& parsed,
-                               const agg::Result& result,
-                               const query::QueryStats& stats) {
-      if (parsed.aggregate == query::Aggregate::kExists) {
-        std::printf("  exists: %s in %.1f ms, %llu round trips\n",
-                    result.Exists() ? "true" : "false", stats.seconds * 1e3,
-                    (unsigned long long)stats.eval.round_trips);
-      } else if (result.group_by) {
-        std::printf("  %zu group(s) in %.1f ms, %llu round trips\n",
-                    result.values.size(), stats.seconds * 1e3,
-                    (unsigned long long)stats.eval.round_trips);
-        for (size_t g = 0; g < result.values.size(); ++g) {
-          if (result.values[g] == 0) continue;
-          std::printf("    %-20s %llu\n", result.group_names[g].c_str(),
-                      (unsigned long long)result.values[g]);
+  } else {
+    auto opened =
+        [&]() -> StatusOr<std::unique_ptr<core::EncryptedXmlDatabase>> {
+      if (connects.empty()) {
+        std::vector<std::string> paths;
+        for (uint32_t i = 0; i < servers; ++i) {
+          paths.push_back(core::ShareSlicePath(db_path, i, servers));
         }
+        return core::EncryptedXmlDatabase::OpenSlices(paths, *map, *seed, p,
+                                                      e);
+      }
+      std::vector<std::unique_ptr<rpc::Channel>> channels;
+      for (const std::string& path : connects) {
+        SSDB_ASSIGN_OR_RETURN(std::unique_ptr<rpc::Channel> channel,
+                              rpc::ConnectUnix(path));
+        channels.push_back(std::move(channel));
+      }
+      return core::EncryptedXmlDatabase::ConnectRemoteMulti(
+          std::move(channels), *map, *seed, p, e);
+    }();
+    if (!opened.ok()) return tools::Fail(opened.status());
+    db = std::move(*opened);
+    db->client_filter()->set_full_verification(*full_verify_flag);
+    db->aggregation_engine()->set_verify(verify_agg);
+    // An incomplete or tampered share sum (too few --connect sockets, a
+    // lone socket pointing at one slice of a larger split, a modified
+    // slice) fails here instead of silently returning wrong results.
+    if (!connects.empty() || db->server_count() > 1) {
+      Status probed = db->ProbeShares();
+      if (!probed.ok()) return tools::Fail(probed);
+    }
+  }
+
+  // Mutations (DESIGN.md §12) run before the queries, in kind order:
+  // recover, sets, inserts, deletes — on the facade, or on the --doc
+  // document's group through the router.
+  const std::string where =
+      router ? "  [doc " + doc_id + "]" : std::string();
+  if (*recover_flag) {
+    Status recovered =
+        router ? router->RecoverDoc(doc_id) : db->RecoverMutations();
+    if (!recovered.ok()) return tools::Fail(recovered);
+    std::printf("recovered pending mutations%s\n", where.c_str());
+  }
+  auto on_db = [](StatusOr<core::MutationResult> done)
+      -> StatusOr<shard::DocMutation> {
+    if (!done.ok()) return done.status();
+    return shard::DocMutation{"", 0, done->version, done->stats};
+  };
+  auto report = [](const char* what, uint32_t pre,
+                   const StatusOr<shard::DocMutation>& done) {
+    if (!done.ok()) return tools::Fail(done.status());
+    std::string doc = done->doc_id.empty()
+                          ? std::string()
+                          : "  [doc " + done->doc_id + ", group " +
+                                std::to_string(done->group) + "]";
+    std::printf("%s pre=%u committed%s: version=%llu (path=%llu "
+                "subtree=%llu children=%llu bytes=%llu)\n",
+                what, pre, doc.c_str(), (unsigned long long)done->version,
+                (unsigned long long)done->stats.path_nodes,
+                (unsigned long long)done->stats.subtree_nodes,
+                (unsigned long long)done->stats.children_fetched,
+                (unsigned long long)done->stats.reshared_bytes);
+    return tools::kExitOk;
+  };
+  for (const SetCmd& cmd : sets) {
+    int rc = report("update", cmd.pre,
+                    router ? router->UpdateDoc(doc_id, cmd.pre, cmd.tag,
+                                               cmd.text)
+                           : on_db(db->Update(cmd.pre, cmd.tag, cmd.text)));
+    if (rc != tools::kExitOk) return rc;
+  }
+  for (const InsertCmd& cmd : inserts) {
+    int rc = report("insert", cmd.pre,
+                    router ? router->InsertDoc(doc_id, cmd.pre, cmd.fragment)
+                           : on_db(db->Insert(cmd.pre, cmd.fragment)));
+    if (rc != tools::kExitOk) return rc;
+  }
+  for (uint32_t pre : deletes) {
+    int rc = report("delete", pre,
+                    router ? router->DeleteDoc(doc_id, pre)
+                           : on_db(db->Delete(pre)));
+    if (rc != tools::kExitOk) return rc;
+  }
+
+  // The one result printer, for the facade, QueryDoc and QueryCorpus.
+  // For aggregates result_size counts groups (the matched node set never
+  // reaches the client); for plain queries it counts matched nodes. Under
+  // --verify-agg the aggregate also reports the proof volume and verdict
+  // (§9). `docs` holds one unnamed entry outside QueryCorpus.
+  auto print_answer = [&](const query::Query& parsed,
+                          const query::QueryStats& stats,
+                          const agg::Result* aggregate,
+                          const std::vector<shard::CorpusResult::DocNodes>&
+                              docs) {
+    const double ms = stats.seconds * 1e3;
+    const auto trips = (unsigned long long)stats.eval.round_trips;
+    if (aggregate == nullptr) {
+      size_t total = 0;
+      for (const auto& doc : docs) total += doc.nodes.size();
+      std::printf("  %zu result(s) in %.1f ms, %llu evaluations, %llu server "
+                  "calls, %llu round trips\n",
+                  total, ms, (unsigned long long)stats.eval.evaluations,
+                  (unsigned long long)stats.eval.server_calls, trips);
+    } else if (parsed.aggregate == query::Aggregate::kExists) {
+      std::printf("  exists: %s in %.1f ms, %llu round trips\n",
+                  aggregate->Exists() ? "true" : "false", ms, trips);
+    } else if (aggregate->group_by) {
+      std::printf("  %zu group(s) in %.1f ms, %llu round trips\n",
+                  aggregate->values.size(), ms, trips);
+      for (size_t g = 0; g < aggregate->values.size(); ++g) {
+        if (aggregate->values[g] == 0) continue;  // only occupied groups
+        std::printf("    %-20s %llu\n", aggregate->group_names[g].c_str(),
+                    (unsigned long long)aggregate->values[g]);
+      }
+    } else {
+      std::printf("  %s = %llu in %.1f ms, %llu round trips\n",
+                  query::AggregateName(parsed.aggregate).data(),
+                  (unsigned long long)aggregate->Total(), ms, trips);
+    }
+    if (show_stats) {
+      std::printf("  stats: result_size=%llu (%s), round_trips=%llu, "
+                  "server_calls=%llu, evaluations=%llu, aggregate_ops=%llu, "
+                  "candidates_examined=%llu\n",
+                  (unsigned long long)stats.result_size,
+                  aggregate != nullptr ? "groups" : "nodes", trips,
+                  (unsigned long long)stats.eval.server_calls,
+                  (unsigned long long)stats.eval.evaluations,
+                  (unsigned long long)stats.eval.aggregate_ops,
+                  (unsigned long long)stats.candidates_examined);
+      if (aggregate != nullptr && verify_agg) {
+        std::printf("  proof: proof_words=%llu, verified=%s\n",
+                    (unsigned long long)aggregate->proof_words,
+                    aggregate->verified ? "true" : "false");
+      }
+    }
+    if (stats.eval.per_server_round_trips.size() > 1) {
+      std::printf("  per-server trips:");
+      for (uint64_t server_trips : stats.eval.per_server_round_trips) {
+        std::printf(" %llu", (unsigned long long)server_trips);
+      }
+      std::printf("  (straggler wait %.1f ms)\n",
+                  stats.eval.straggler_seconds * 1e3);
+    }
+    if (aggregate != nullptr) return;
+    for (const auto& doc : docs) {
+      if (doc.doc_id.empty()) {
+        std::printf("  pre:");
       } else {
-        std::printf("  %s = %llu in %.1f ms, %llu round trips\n",
-                    query::AggregateName(parsed.aggregate).data(),
-                    (unsigned long long)result.Total(), stats.seconds * 1e3,
-                    (unsigned long long)stats.eval.round_trips);
+        std::printf("  %s: %zu result(s); pre:", doc.doc_id.c_str(),
+                    doc.nodes.size());
       }
-      if (show_stats) {
-        std::printf("  stats: result_size=%llu (groups), round_trips=%llu, "
-                    "server_calls=%llu, evaluations=%llu\n",
-                    (unsigned long long)stats.result_size,
-                    (unsigned long long)stats.eval.round_trips,
-                    (unsigned long long)stats.eval.server_calls,
-                    (unsigned long long)stats.eval.evaluations);
-        if (verify_agg) {
-          std::printf("  proof: proof_words=%llu, verified=%s\n",
-                      (unsigned long long)result.proof_words,
-                      result.verified ? "true" : "false");
+      size_t shown = 0;
+      for (const auto& node : doc.nodes) {
+        if (shown++ == 20) {
+          std::printf(" ...");
+          break;
         }
+        std::printf(" %u", node.pre);
       }
-      (void)text;
-    };
+      std::printf("\n");
+    }
+  };
 
-    for (const std::string& text : queries) {
-      auto parsed = query::ParseQuery(text);
-      if (!parsed.ok()) return tools::Fail(parsed.status());
+  for (const std::string& text : queries) {
+    auto parsed = query::ParseQuery(text);
+    if (!parsed.ok()) return tools::Fail(parsed.status());
 
-      if (!doc_id.empty()) {
-        auto result = (*router)->QueryDoc(doc_id, *parsed, corpus_match);
-        if (!result.ok()) return tools::Fail(result.status());
-        std::printf("%s  [doc %s, group %u]\n", text.c_str(),
-                    result->doc_id.c_str(), result->group);
-        if (result->is_aggregate) {
-          print_aggregate(text, *parsed, result->aggregate, result->stats);
-        } else {
-          std::printf("  %zu result(s) in %.1f ms\n  pre:",
-                      result->nodes.size(), result->stats.seconds * 1e3);
-          size_t shown = 0;
-          for (const auto& node : result->nodes) {
-            if (shown++ == 20) { std::printf(" ..."); break; }
-            std::printf(" %u", node.pre);
-          }
-          std::printf("\n");
-        }
-        continue;
-      }
-
-      auto result = (*router)->QueryCorpus(*parsed, corpus_match);
+    if (router && doc_id.empty()) {
+      auto result = router->QueryCorpus(*parsed, mode);
       if (!result.ok()) return tools::Fail(result.status());
       std::printf("%s  [corpus: %zu doc(s), %zu group(s)%s]\n", text.c_str(),
                   result->documents, result->groups,
@@ -395,252 +480,34 @@ int main(int argc, char** argv) {
         std::printf("  missing %s (group %u): %s\n", missing.doc_id.c_str(),
                     missing.group, missing.error.ToString().c_str());
       }
-      if (result->is_aggregate) {
-        print_aggregate(text, *parsed, result->aggregate, result->stats);
-      } else {
-        std::printf("  merged in %.1f ms, %llu round trips (straggler)\n",
-                    result->stats.seconds * 1e3,
-                    (unsigned long long)result->stats.eval.round_trips);
-        for (const auto& doc : result->nodes) {
-          std::printf("  %s: %zu result(s); pre:", doc.doc_id.c_str(),
-                      doc.nodes.size());
-          size_t shown = 0;
-          for (const auto& node : doc.nodes) {
-            if (shown++ == 20) { std::printf(" ..."); break; }
-            std::printf(" %u", node.pre);
-          }
-          std::printf("\n");
-        }
-      }
-    }
-    return tools::kExitOk;
-  }
-
-  // Build the client filter stack over local slice stores or sockets — one
-  // backend per share slice, fanned out through a MultiServerFilter when
-  // there is more than one.
-  gf::Ring ring(*field);
-  std::vector<std::unique_ptr<storage::NodeStore>> stores;
-  std::vector<std::unique_ptr<filter::ServerFilter>> backends;
-  std::unique_ptr<rpc::MultiServerSession> session;
-  std::unique_ptr<filter::ServerFilter> server;
-  filter::ServerFilter* server_view = nullptr;
-
-  if (!connects.empty()) {
-    if (connects.size() == 1) {
-      auto channel = rpc::ConnectUnix(connects[0]);
-      if (!channel.ok()) return tools::Fail(channel.status());
-      server = std::make_unique<rpc::RemoteServerFilter>(ring,
-                                                         std::move(*channel));
-      server_view = server.get();
-    } else {
-      auto connected = rpc::MultiServerSession::ConnectUnix(ring, connects);
-      if (!connected.ok()) return tools::Fail(connected.status());
-      session = std::move(*connected);
-      server_view = session->filter();
-    }
-  } else {
-    std::vector<filter::ServerFilter*> raw_backends;
-    for (uint32_t i = 0; i < servers; ++i) {
-      auto disk = storage::DiskNodeStore::Open(
-          core::ShareSlicePath(db_path, i, servers));
-      if (!disk.ok()) return tools::Fail(disk.status());
-      stores.push_back(std::move(*disk));
-      backends.push_back(std::make_unique<filter::LocalServerFilter>(
-          ring, stores.back().get()));
-      raw_backends.push_back(backends.back().get());
-    }
-    if (servers == 1) {
-      server = std::move(backends[0]);
-      backends.clear();
-    } else {
-      server = std::make_unique<filter::MultiServerFilter>(
-          ring, std::move(raw_backends));
-    }
-    server_view = server.get();
-  }
-  filter::ClientFilter client(ring, prg::Prg(*seed), server_view);
-  client.set_full_verification(*full_verify_flag);
-
-  // Share-sum sanity probe: recover the root's own tag through the
-  // verified equality-test division. An incomplete or tampered share sum
-  // (too few --connect sockets, a lone socket pointing at one slice of a
-  // larger split, a modified slice) fails verification here instead of
-  // silently returning wrong results. Runs for every remote connection
-  // and every local multi-slice deployment.
-  if (!connects.empty() || server_view->ServerCount() > 1) {
-    auto root = client.Root();
-    if (!root.ok()) return tools::Fail(root.status());
-    auto probe = client.RecoverOwnValue(*root);
-    if (!probe.ok()) {
-      std::fprintf(stderr,
-                   "error: share-sum sanity probe failed — are all %zu "
-                   "slices of this database connected, in slice order?\n"
-                   "  %s\n",
-                   connects.empty() ? (size_t)servers : connects.size(),
-                   probe.status().ToString().c_str());
-      return 1;
-    }
-  }
-  // Mutations (DESIGN.md §12) run before the queries, in kind order:
-  // recover, sets, inserts, deletes. Each is a full two-phase drive —
-  // prepare on every slice, then commit; a prepare failure aborts.
-  if (have_mutations) {
-    encode::Mutator mutator(ring, *map, prg::Prg(*seed), server_view);
-    if (*recover_flag) {
-      for (int round = 0; round < 64; ++round) {
-        auto states = server_view->MutationStates();
-        if (!states.ok()) return tools::Fail(states.status());
-        uint64_t pending = 0;
-        uint64_t committed = 0;
-        for (const storage::MutationState& st : *states) {
-          pending = std::max(pending, st.pending_txn);
-          committed = std::max(committed, st.version);
-        }
-        if (pending == 0) break;
-        Status verdict = committed >= pending
-                             ? server_view->CommitMutation(pending)
-                             : server_view->AbortMutation(pending);
-        if (!verdict.ok()) return tools::Fail(verdict);
-        std::printf("recovered txn %llu: %s\n",
-                    (unsigned long long)pending,
-                    committed >= pending ? "committed" : "aborted");
-      }
-    }
-    auto drive = [&](const char* what, uint32_t pre,
-                     StatusOr<encode::PlannedMutation> planned) -> Status {
-      if (!planned.ok()) return planned.status();
-      Status prepared =
-          server_view->PrepareMutation(planned->txn, planned->plans);
-      if (!prepared.ok()) {
-        (void)server_view->AbortMutation(planned->txn);
-        return prepared;
-      }
-      Status committed = server_view->CommitMutation(planned->txn);
-      if (!committed.ok()) return committed;
-      std::printf("%s pre=%u committed: version=%llu (path=%llu "
-                  "subtree=%llu children=%llu bytes=%llu)\n",
-                  what, pre, (unsigned long long)planned->txn,
-                  (unsigned long long)planned->stats.path_nodes,
-                  (unsigned long long)planned->stats.subtree_nodes,
-                  (unsigned long long)planned->stats.children_fetched,
-                  (unsigned long long)planned->stats.reshared_bytes);
-      return Status::OK();
-    };
-    for (const SetCmd& cmd : sets) {
-      Status done = drive("update", cmd.pre,
-                          mutator.PlanUpdate(cmd.pre, cmd.tag, cmd.text));
-      if (!done.ok()) return tools::Fail(done);
-    }
-    for (const InsertCmd& cmd : inserts) {
-      Status done = drive("insert", cmd.pre,
-                          mutator.PlanInsert(cmd.pre, cmd.fragment));
-      if (!done.ok()) return tools::Fail(done);
-    }
-    for (uint32_t pre : deletes) {
-      Status done = drive("delete", pre, mutator.PlanDelete(pre));
-      if (!done.ok()) return tools::Fail(done);
-    }
-  }
-
-  query::SimpleEngine simple(&client, &*map);
-  query::AdvancedEngine adv(&client, &*map);
-  agg::AggregationEngine aggregation(&client, &*map);
-  aggregation.set_verify(verify_agg);
-  query::QueryEngine* engine =
-      advanced ? static_cast<query::QueryEngine*>(&adv)
-               : static_cast<query::QueryEngine*>(&simple);
-  query::MatchMode mode =
-      strict ? query::MatchMode::kEquality : query::MatchMode::kContainment;
-
-  // QueryStats block shared by both query kinds. For aggregates
-  // result_size counts groups (the matched node set never reaches the
-  // client); for plain queries it counts matched nodes. Under --verify-agg
-  // the aggregate line also reports the proof volume and verdict (§9).
-  auto print_stats = [&](const query::QueryStats& stats, bool aggregate,
-                         const agg::Result* agg_result) {
-    if (show_stats) {
-      std::printf("  stats: result_size=%llu (%s), round_trips=%llu, "
-                  "server_calls=%llu, evaluations=%llu, aggregate_ops=%llu, "
-                  "candidates_examined=%llu\n",
-                  (unsigned long long)stats.result_size,
-                  aggregate ? "groups" : "nodes",
-                  (unsigned long long)stats.eval.round_trips,
-                  (unsigned long long)stats.eval.server_calls,
-                  (unsigned long long)stats.eval.evaluations,
-                  (unsigned long long)stats.eval.aggregate_ops,
-                  (unsigned long long)stats.candidates_examined);
-      if (aggregate && verify_agg && agg_result != nullptr) {
-        std::printf("  proof: proof_words=%llu, verified=%s\n",
-                    (unsigned long long)agg_result->proof_words,
-                    agg_result->verified ? "true" : "false");
-      }
-    }
-    if (stats.eval.per_server_round_trips.size() > 1) {
-      std::printf("  per-server trips:");
-      for (uint64_t trips : stats.eval.per_server_round_trips) {
-        std::printf(" %llu", (unsigned long long)trips);
-      }
-      std::printf("  (straggler wait %.1f ms)\n",
-                  stats.eval.straggler_seconds * 1e3);
-    }
-  };
-
-  for (const std::string& text : queries) {
-    auto parsed = query::ParseQuery(text);
-    if (!parsed.ok()) return tools::Fail(parsed.status());
-
-    if (parsed->aggregate != query::Aggregate::kNone) {
-      query::QueryStats stats;
-      auto result = aggregation.Execute(engine, *parsed, mode, &stats);
-      if (!result.ok()) return tools::Fail(result.status());
-      std::printf("%s  [%s/%s]\n", text.c_str(), engine->name().data(),
-                  query::MatchModeName(mode).data());
-      if (parsed->aggregate == query::Aggregate::kExists) {
-        std::printf("  exists: %s in %.1f ms, %llu round trips\n",
-                    result->Exists() ? "true" : "false", stats.seconds * 1e3,
-                    (unsigned long long)stats.eval.round_trips);
-      } else if (result->group_by) {
-        std::printf("  %zu group(s) in %.1f ms, %llu round trips\n",
-                    result->values.size(), stats.seconds * 1e3,
-                    (unsigned long long)stats.eval.round_trips);
-        for (size_t g = 0; g < result->values.size(); ++g) {
-          if (result->values[g] == 0) continue;  // only occupied groups
-          std::printf("    %-20s %llu\n", result->group_names[g].c_str(),
-                      (unsigned long long)result->values[g]);
-        }
-      } else {
-        std::printf("  %s = %llu in %.1f ms, %llu round trips\n",
-                    query::AggregateName(parsed->aggregate).data(),
-                    (unsigned long long)result->Total(), stats.seconds * 1e3,
-                    (unsigned long long)stats.eval.round_trips);
-      }
-      print_stats(stats, /*aggregate=*/true, &*result);
+      print_answer(*parsed, result->stats,
+                   result->is_aggregate ? &result->aggregate : nullptr,
+                   result->nodes);
       continue;
     }
 
-    query::QueryStats stats;
-    auto result = engine->Execute(*parsed, mode, &stats);
-    if (!result.ok()) return tools::Fail(result.status());
-    std::printf("%s  [%s/%s]\n", text.c_str(), engine->name().data(),
-                query::MatchModeName(mode).data());
-    std::printf("  %zu result(s) in %.1f ms, %llu evaluations, %llu server "
-                "calls, %llu round trips\n",
-                result->size(), stats.seconds * 1e3,
-                (unsigned long long)stats.eval.evaluations,
-                (unsigned long long)stats.eval.server_calls,
-                (unsigned long long)stats.eval.round_trips);
-    print_stats(stats, /*aggregate=*/false, nullptr);
-    std::printf("  pre:");
-    size_t shown = 0;
-    for (const auto& node : *result) {
-      if (shown++ == 20) {
-        std::printf(" ...");
-        break;
-      }
-      std::printf(" %u", node.pre);
+    core::QueryResult result;
+    if (router) {
+      auto routed = router->QueryDoc(doc_id, *parsed, mode);
+      if (!routed.ok()) return tools::Fail(routed.status());
+      std::printf("%s  [doc %s, group %u]\n", text.c_str(),
+                  routed->doc_id.c_str(), routed->group);
+      result.nodes = std::move(routed->nodes);
+      result.stats = routed->stats;
+      result.is_aggregate = routed->is_aggregate;
+      result.aggregate = std::move(routed->aggregate);
+    } else {
+      auto answered = db->QueryParsed(*parsed, engine, mode);
+      if (!answered.ok()) return tools::Fail(answered.status());
+      std::printf("%s  [%s/%s]\n", text.c_str(),
+                  advanced ? "advanced" : "simple",
+                  query::MatchModeName(mode).data());
+      result = std::move(*answered);
     }
-    std::printf("\n");
+    std::vector<shard::CorpusResult::DocNodes> docs(1);
+    docs[0].nodes = std::move(result.nodes);
+    print_answer(*parsed, result.stats,
+                 result.is_aggregate ? &result.aggregate : nullptr, docs);
   }
   return tools::kExitOk;
 }

@@ -6,7 +6,7 @@
 // shard::Router and talk to the share-slice servers directly.
 //
 //   ssdb_router --catalog catalog.json --socket /tmp/router.sock
-//               [--threads n] [--poller epoll|poll] [--max-connections n]
+//               [--threads n] [--max-connections n]
 //               [--idle-timeout s] [--io-timeout s] [--admin-port p]
 //               [--probe-interval-ms 1000] [--probe-timeout 1]
 //               [--rise 2] [--fall 3]
@@ -52,8 +52,6 @@ int main(int argc, char** argv) {
       "socket", "/tmp/ssdb-router.sock", "unix socket to serve on");
   const uint32_t* threads =
       flags.Uint("threads", 0, "worker threads (0 = hardware concurrency)");
-  const std::string* poller =
-      flags.String("poller", "auto", "readiness backend: epoll, poll, auto");
   const uint32_t* max_connections =
       flags.Uint("max-connections", 0, "pause accepting at this many fds (0 = unlimited)");
   const uint32_t* idle_timeout =
@@ -81,14 +79,6 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) return tools::UsageError(flags, parsed);
   if (*rise == 0 || *fall == 0) {
     return tools::UsageError(flags, "--rise and --fall must be >= 1");
-  }
-  rpc::PollerBackend backend = rpc::PollerBackend::kDefault;
-  if (*poller == "epoll") {
-    backend = rpc::PollerBackend::kEpoll;
-  } else if (*poller == "poll") {
-    backend = rpc::PollerBackend::kPoll;
-  } else if (*poller != "auto") {
-    return tools::UsageError(flags, "--poller must be epoll, poll, or auto");
   }
 
   auto catalog = shard::ShardCatalog::Load(*catalog_path);
@@ -118,7 +108,6 @@ int main(int argc, char** argv) {
   rpc::ConcurrentServerOptions options;
   options.threads = *threads;
   options.log_connections = true;
-  options.poller = backend;
   options.max_connections = *max_connections;
   options.idle_timeout_seconds = static_cast<int>(*idle_timeout);
   options.io_timeout_seconds = static_cast<int>(*io_timeout);

@@ -4,7 +4,7 @@
 //
 //   ssdb_server --db db.ssdb --socket /tmp/ssdb.sock [--p 83] [--e 1]
 //               [--servers m --share-index i] [--threads n]
-//               [--poller epoll|poll] [--max-connections n]
+//               [--max-connections n]
 //               [--idle-timeout s] [--io-timeout s]
 //               [--max-write-buffer bytes] [--admin-port p]
 //
@@ -15,7 +15,7 @@
 // pool of --threads threads (default: hardware concurrency; DESIGN.md §7),
 // keeps serving after clients disconnect, and drains gracefully on
 // SIGINT/SIGTERM. The accept loop dispatches through an incremental
-// interest set (--poller, default epoll where available); --max-connections
+// epoll interest set (DESIGN.md §7); --max-connections
 // pauses accepting at an fd budget instead of dying, and --idle-timeout
 // sweeps connections idle past that many seconds. A client that stops
 // reading never blocks a worker: its response tail is buffered and
@@ -54,8 +54,6 @@ int main(int argc, char** argv) {
       flags.Uint("share-index", 0, "which slice this server holds (< m)");
   const uint32_t* threads =
       flags.Uint("threads", 0, "worker threads (0 = hardware concurrency)");
-  const std::string* poller =
-      flags.String("poller", "auto", "readiness backend: epoll, poll, auto");
   const uint32_t* max_connections =
       flags.Uint("max-connections", 0, "pause accepting at this many fds (0 = unlimited)");
   const uint32_t* idle_timeout =
@@ -78,14 +76,6 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) return tools::UsageError(flags, parsed);
   if (*servers == 0 || *share_index >= *servers) {
     return tools::UsageError(flags, "--share-index must be < --servers");
-  }
-  rpc::PollerBackend backend = rpc::PollerBackend::kDefault;
-  if (*poller == "epoll") {
-    backend = rpc::PollerBackend::kEpoll;
-  } else if (*poller == "poll") {
-    backend = rpc::PollerBackend::kPoll;
-  } else if (*poller != "auto") {
-    return tools::UsageError(flags, "--poller must be epoll, poll, or auto");
   }
   std::string slice_path =
       core::ShareSlicePath(*db_path, *share_index, *servers);
@@ -114,7 +104,6 @@ int main(int argc, char** argv) {
   rpc::ConcurrentServerOptions options;
   options.threads = *threads;
   options.log_connections = true;
-  options.poller = backend;
   options.max_connections = *max_connections;
   options.idle_timeout_seconds = static_cast<int>(*idle_timeout);
   options.io_timeout_seconds = static_cast<int>(*io_timeout);
