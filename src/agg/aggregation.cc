@@ -54,26 +54,6 @@ uint8_t ColumnsFor(Aggregate fn, MatchMode mode, Slot slot) {
   return 0;
 }
 
-std::vector<NodeMeta> CoveringSet(std::vector<NodeMeta> nodes) {
-  // pre/post numbering: a is an ancestor of b iff pre(a) < pre(b) and
-  // post(a) > post(b). In pre order, non-descendants have strictly
-  // increasing post, so one running maximum finds every nested node.
-  std::sort(nodes.begin(), nodes.end());
-  std::vector<NodeMeta> covering;
-  covering.reserve(nodes.size());
-  uint32_t max_post = 0;
-  bool first = true;
-  for (const NodeMeta& node : nodes) {
-    if (!covering.empty() && node.pre == covering.back().pre) continue;
-    if (first || node.post > max_post) {
-      covering.push_back(node);
-      max_post = node.post;
-      first = false;
-    }
-  }
-  return covering;
-}
-
 StatusOr<Result> AggregationEngine::RunPlan(const Plan& plan) {
   Result result;
   result.fn = plan.fn;

@@ -71,10 +71,6 @@ struct Result {
 // semantics table in DESIGN.md §8.
 uint8_t ColumnsFor(query::Aggregate fn, query::MatchMode mode, Slot slot);
 
-// Reduces a node set to its covering ancestors (drops every node nested
-// inside another's subtree), so descendant folds count each node once.
-std::vector<filter::NodeMeta> CoveringSet(std::vector<filter::NodeMeta> nodes);
-
 class AggregationEngine {
  public:
   // Both must outlive the engine. The filter is the same client stack the

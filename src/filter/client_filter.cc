@@ -10,10 +10,6 @@
 namespace ssdb::filter {
 namespace {
 
-// Cursor pull size: the client holds one batch at a time (thin client), the
-// server buffers the rest (§5.2).
-constexpr size_t kCursorBatch = 64;
-
 // Validates `spec` and canonicalizes its frontier: (pre, effective share
 // nonce) pairs sorted by pre and deduped, so the server fold and the client
 // mask sums cover exactly the same node set. Nonces travel with their pres:
@@ -132,13 +128,6 @@ StatusOr<NodeMeta> ClientFilter::GetNode(uint32_t pre) {
   return node;
 }
 
-StatusOr<NodeMeta> ClientFilter::Parent(const NodeMeta& node) {
-  if (node.parent == 0) {
-    return Status::NotFound("root has no parent");
-  }
-  return GetNode(node.parent);
-}
-
 StatusOr<std::vector<NodeMeta>> ClientFilter::Children(const NodeMeta& node) {
   TripScope trips(this);
   ++stats_.server_calls;
@@ -165,20 +154,69 @@ StatusOr<std::vector<std::vector<NodeMeta>>> ClientFilter::ChildrenBatch(
   return lists;
 }
 
-StatusOr<std::vector<NodeMeta>> ClientFilter::Descendants(
-    const NodeMeta& node) {
+StatusOr<std::vector<NodeMeta>> ClientFilter::Parents(
+    const std::vector<NodeMeta>& nodes) {
+  std::vector<uint32_t> pres;
+  pres.reserve(nodes.size());
+  for (const NodeMeta& node : nodes) {
+    if (node.parent != 0) pres.push_back(node.parent);
+  }
+  std::sort(pres.begin(), pres.end());
+  pres.erase(std::unique(pres.begin(), pres.end()), pres.end());
+  if (pres.empty()) return std::vector<NodeMeta>{};
   TripScope trips(this);
   ++stats_.server_calls;
-  SSDB_ASSIGN_OR_RETURN(uint64_t cursor,
-                        server_->OpenDescendantCursor(node.pre, node.post));
+  SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> parents,
+                        server_->NodesBatch(pres));
+  if (parents.size() != pres.size()) {
+    return Status::Corruption("NodesBatch size mismatch");
+  }
+  for (size_t i = 0; i < pres.size(); ++i) {
+    if (parents[i].pre != pres[i]) {
+      return Status::Corruption("NodesBatch answered the wrong node");
+    }
+  }
+  stats_.nodes_visited += parents.size();
+  return parents;
+}
+
+StatusOr<std::vector<NodeMeta>> ClientFilter::DescendantsBatch(
+    const std::vector<NodeMeta>& nodes) {
+  const std::vector<NodeMeta> roots = CoveringSet(nodes);
   std::vector<NodeMeta> all;
-  for (;;) {
+  if (roots.empty()) return all;
+  TripScope trips(this);
+  uint32_t resume_after = 0;
+  // A request carries only the roots whose subtrees may still hold unread
+  // nodes, at most kDescendantsPage of them: roots[first, last).
+  size_t first = 0;
+  while (first < roots.size()) {
+    const size_t last = std::min(first + kDescendantsPage, roots.size());
     ++stats_.server_calls;
-    SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> batch,
-                          server_->NextNodes(cursor, kCursorBatch));
-    if (batch.empty()) break;
-    stats_.nodes_visited += batch.size();
-    all.insert(all.end(), batch.begin(), batch.end());
+    SSDB_ASSIGN_OR_RETURN(
+        std::vector<NodeMeta> page,
+        server_->DescendantsBatch(
+            {roots.begin() + first, roots.begin() + last}, resume_after));
+    // Pages must advance strictly in pre order; anything else would repeat
+    // nodes or never end.
+    if (page.size() > kDescendantsPage) {
+      return Status::Corruption("DescendantsBatch page exceeds its limit");
+    }
+    for (const NodeMeta& node : page) {
+      if (node.pre <= resume_after) {
+        return Status::Corruption("DescendantsBatch page out of order");
+      }
+      resume_after = node.pre;
+    }
+    stats_.nodes_visited += page.size();
+    all.insert(all.end(), page.begin(), page.end());
+    if (page.size() < kDescendantsPage) {
+      first = last;  // a short page drains every root it was sent
+    } else {
+      // Covering roots are disjoint and sorted, so only the last root at
+      // or before the resume point can still be open.
+      while (first + 1 < last && roots[first + 1].pre <= resume_after) ++first;
+    }
   }
   return all;
 }

@@ -80,15 +80,19 @@ class ClientFilter {
   // --- Navigation (structure is public; calls are counted) ---
   StatusOr<NodeMeta> Root();
   StatusOr<NodeMeta> GetNode(uint32_t pre);
-  // NotFound for the root (which has no parent).
-  StatusOr<NodeMeta> Parent(const NodeMeta& node);
   StatusOr<std::vector<NodeMeta>> Children(const NodeMeta& node);
   // Children of every node in one server exchange; out[i] belongs to
   // nodes[i].
   StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
       const std::vector<NodeMeta>& nodes);
-  // All proper descendants, pulled through the server-side cursor pipeline.
-  StatusOr<std::vector<NodeMeta>> Descendants(const NodeMeta& node);
+  // The distinct parents of `nodes`, sorted by pre, in one server exchange
+  // (a whole '..' step). The root has no parent and drops out; any server
+  // failure is returned, never a short answer.
+  StatusOr<std::vector<NodeMeta>> Parents(const std::vector<NodeMeta>& nodes);
+  // The union of the nodes' proper descendants, each once, in pre order:
+  // one server exchange per kDescendantsPage nodes (or covering roots).
+  StatusOr<std::vector<NodeMeta>> DescendantsBatch(
+      const std::vector<NodeMeta>& nodes);
 
   // --- Aggregation (DESIGN.md §8) ---
   // Runs a server-side partial aggregate over the spec's frontier and

@@ -32,6 +32,14 @@ class Latch {
   size_t count_;
 };
 
+// Tags a failed backend's status with its slice index, so the caller sees
+// which server a transport or shape fault came from.
+Status Blame(size_t i, const Status& status) {
+  if (status.ok()) return status;
+  return Status(status.code(),
+                "server " + std::to_string(i) + ": " + status.message());
+}
+
 }  // namespace
 
 MultiServerFilter::MultiServerFilter(gf::Ring ring,
@@ -193,6 +201,26 @@ StatusOr<std::vector<std::vector<NodeMeta>>> MultiServerFilter::ChildrenBatch(
   return out;
 }
 
+StatusOr<std::vector<NodeMeta>> MultiServerFilter::DescendantsBatch(
+    const std::vector<NodeMeta>& roots, uint32_t resume_after) {
+  StatusOr<std::vector<NodeMeta>> out = Status::Internal("unset");
+  SSDB_RETURN_IF_ERROR(Primary([&] {
+    out = backends_[0]->DescendantsBatch(roots, resume_after);
+    return Blame(0, out.status());
+  }));
+  return out;
+}
+
+StatusOr<std::vector<NodeMeta>> MultiServerFilter::NodesBatch(
+    const std::vector<uint32_t>& pres) {
+  StatusOr<std::vector<NodeMeta>> out = Status::Internal("unset");
+  SSDB_RETURN_IF_ERROR(Primary([&] {
+    out = backends_[0]->NodesBatch(pres);
+    return Blame(0, out.status());
+  }));
+  return out;
+}
+
 StatusOr<uint64_t> MultiServerFilter::OpenDescendantCursor(uint32_t pre,
                                                            uint32_t post) {
   StatusOr<uint64_t> out = Status::Internal("unset");
@@ -251,11 +279,7 @@ MultiServerFilter::MutationStates() {
   SSDB_RETURN_IF_ERROR(FanOut([&](size_t i) -> Status {
     StatusOr<std::vector<storage::MutationState>> reply =
         backends_[i]->MutationStates();
-    if (!reply.ok()) {
-      return Status(reply.status().code(),
-                    "server " + std::to_string(i) + ": " +
-                        reply.status().message());
-    }
+    SSDB_RETURN_IF_ERROR(Blame(i, reply.status()));
     if (reply->size() != 1) {
       return Status::Internal("server " + std::to_string(i) +
                               ": expected one mutation state, got " +
@@ -279,37 +303,20 @@ Status MultiServerFilter::PrepareMutation(
         "mutation has " + std::to_string(plans.size()) + " plans for " +
         std::to_string(backends_.size()) + " servers");
   }
-  return FanOut([&](size_t i) -> Status {
-    Status status = backends_[i]->PrepareMutation(txn, {plans[i]});
-    if (!status.ok()) {
-      // Blame for the coordinator's abort/retry decision (DESIGN.md §12).
-      return Status(status.code(), "server " + std::to_string(i) + ": " +
-                                       status.message());
-    }
-    return status;
+  // Blame for the coordinator's abort/retry decision (DESIGN.md §12).
+  return FanOut([&](size_t i) {
+    return Blame(i, backends_[i]->PrepareMutation(txn, {plans[i]}));
   });
 }
 
 Status MultiServerFilter::CommitMutation(uint64_t txn) {
-  return FanOut([&](size_t i) -> Status {
-    Status status = backends_[i]->CommitMutation(txn);
-    if (!status.ok()) {
-      return Status(status.code(), "server " + std::to_string(i) + ": " +
-                                       status.message());
-    }
-    return status;
-  });
+  return FanOut(
+      [&](size_t i) { return Blame(i, backends_[i]->CommitMutation(txn)); });
 }
 
 Status MultiServerFilter::AbortMutation(uint64_t txn) {
-  return FanOut([&](size_t i) -> Status {
-    Status status = backends_[i]->AbortMutation(txn);
-    if (!status.ok()) {
-      return Status(status.code(), "server " + std::to_string(i) + ": " +
-                                       status.message());
-    }
-    return status;
-  });
+  return FanOut(
+      [&](size_t i) { return Blame(i, backends_[i]->AbortMutation(txn)); });
 }
 
 StatusOr<std::vector<agg::Word>> MultiServerFilter::PartialAggregate(
@@ -337,13 +344,9 @@ MultiServerFilter::PartialAggregateVerified(const agg::Spec& spec) {
   SSDB_RETURN_IF_ERROR(FanOut([&](size_t i) -> Status {
     StatusOr<std::vector<agg::VerifiedPartial>> reply =
         backends_[i]->PartialAggregateVerified(spec);
-    if (!reply.ok()) {
-      // Attribution for transport/shape faults: the client sees which
-      // server failed without a proof check (DESIGN.md §9).
-      return Status(reply.status().code(),
-                    "server " + std::to_string(i) + ": " +
-                        reply.status().message());
-    }
+    // Attribution for transport/shape faults: the client sees which
+    // server failed without a proof check (DESIGN.md §9).
+    SSDB_RETURN_IF_ERROR(Blame(i, reply.status()));
     for (const agg::VerifiedPartial& entry : *reply) {
       if (entry.words.size() != spec.value_indexes.size() ||
           entry.wide.size() != entry.proof.size() ||

@@ -61,6 +61,12 @@ class MultiServerFilter : public ServerFilter {
   StatusOr<std::vector<NodeMeta>> Children(uint32_t pre) override;
   StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) override;
+  // The set-at-a-time structure reads tag a failure "server 0:".
+  StatusOr<std::vector<NodeMeta>> DescendantsBatch(
+      const std::vector<NodeMeta>& roots,
+      uint32_t resume_after) override;
+  StatusOr<std::vector<NodeMeta>> NodesBatch(
+      const std::vector<uint32_t>& pres) override;
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override;
   StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t cursor,

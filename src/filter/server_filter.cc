@@ -3,6 +3,99 @@
 #include <algorithm>
 
 namespace ssdb::filter {
+namespace {
+
+// Index of the first covering root whose subtree can still hold pres after
+// `resume_after`: the last root at or before it. Every earlier root's
+// subtree ends before the next root starts, so it is drained.
+size_t FirstOpenRoot(const std::vector<NodeMeta>& covering,
+                     uint32_t resume_after) {
+  auto after = std::upper_bound(
+      covering.begin(), covering.end(), resume_after,
+      [](uint32_t pre, const NodeMeta& root) { return pre < root.pre; });
+  return after == covering.begin()
+             ? 0
+             : static_cast<size_t>(after - covering.begin()) - 1;
+}
+
+// Where root i's scan must stop: the next covering root's pre. An honest
+// subtree always ends before it; a forged post cannot make one root's scan
+// run into the next, so a page stays strictly increasing whatever it asks.
+uint64_t ScanEnd(const std::vector<NodeMeta>& covering, size_t i) {
+  return i + 1 < covering.size() ? covering[i + 1].pre : UINT64_MAX;
+}
+
+}  // namespace
+
+std::vector<NodeMeta> CoveringSet(std::vector<NodeMeta> nodes) {
+  // pre/post numbering: a is an ancestor of b iff pre(a) < pre(b) and
+  // post(a) > post(b). In pre order, non-descendants have strictly
+  // increasing post, so one running maximum finds every nested node.
+  std::sort(nodes.begin(), nodes.end());
+  std::vector<NodeMeta> covering;
+  covering.reserve(nodes.size());
+  for (const NodeMeta& node : nodes) {
+    if (covering.empty() || node.post > covering.back().post) {
+      covering.push_back(node);
+    }
+  }
+  return covering;
+}
+
+StatusOr<std::vector<NodeMeta>> ServerFilter::DescendantsBatch(
+    const std::vector<NodeMeta>& roots, uint32_t resume_after) {
+  const std::vector<NodeMeta> covering = CoveringSet(roots);
+  std::vector<NodeMeta> page;
+  for (size_t i = FirstOpenRoot(covering, resume_after);
+       i < covering.size() && page.size() < kDescendantsPage; ++i) {
+    // The cursor opens at the resume point, so nodes earlier pages carried
+    // are not read again; a cursor buffers the rest of its subtree, though,
+    // so a page here costs that rest, not one page (DESIGN.md §6).
+    SSDB_ASSIGN_OR_RETURN(
+        uint64_t cursor,
+        OpenDescendantCursor(std::max(covering[i].pre, resume_after),
+                             covering[i].post));
+    // Pull until the cursor drains (and closes itself) or the page fills;
+    // a cursor left open is closed before returning, on error too.
+    const uint64_t end = ScanEnd(covering, i);
+    Status status = Status::OK();
+    bool drained = false;
+    bool past_end = false;
+    while (page.size() < kDescendantsPage && !past_end) {
+      StatusOr<std::vector<NodeMeta>> batch =
+          NextNodes(cursor, kDescendantsPage - page.size());
+      if (!batch.ok()) {
+        status = batch.status();
+        break;
+      }
+      if (batch->empty()) {
+        drained = true;
+        break;
+      }
+      for (const NodeMeta& node : *batch) {
+        past_end = past_end || node.pre >= end;
+        if (!past_end && page.size() < kDescendantsPage) page.push_back(node);
+      }
+    }
+    if (!drained) {
+      Status closed = CloseCursor(cursor);
+      if (status.ok()) status = closed;
+    }
+    SSDB_RETURN_IF_ERROR(status);
+  }
+  return page;
+}
+
+StatusOr<std::vector<NodeMeta>> ServerFilter::NodesBatch(
+    const std::vector<uint32_t>& pres) {
+  std::vector<NodeMeta> out;
+  out.reserve(pres.size());
+  for (uint32_t pre : pres) {
+    SSDB_ASSIGN_OR_RETURN(NodeMeta node, GetNode(pre));
+    out.push_back(node);
+  }
+  return out;
+}
 
 StatusOr<NodeMeta> LocalServerFilter::Root() {
   CountTrip();
@@ -37,6 +130,39 @@ StatusOr<std::vector<std::vector<NodeMeta>>> LocalServerFilter::ChildrenBatch(
         pre,
         [&](const storage::NodeRow& row) { metas.push_back(MetaOf(row)); }));
     out.push_back(std::move(metas));
+  }
+  return out;
+}
+
+StatusOr<std::vector<NodeMeta>> LocalServerFilter::DescendantsBatch(
+    const std::vector<NodeMeta>& roots, uint32_t resume_after) {
+  CountTrip();
+  const std::vector<NodeMeta> covering = CoveringSet(roots);
+  std::vector<NodeMeta> page;
+  // One seek per root: the scan resumes right after `resume_after` (or at
+  // the root) and stops where the root's subtree ends or the page fills.
+  for (size_t i = FirstOpenRoot(covering, resume_after);
+       i < covering.size() && page.size() < kDescendantsPage; ++i) {
+    const uint64_t end = ScanEnd(covering, i);
+    SSDB_RETURN_IF_ERROR(store_->ScanDescendants(
+        std::max(covering[i].pre, resume_after), covering[i].post,
+        [&](const storage::NodeRow& row) {
+          if (row.pre >= end) return false;
+          page.push_back(MetaOf(row));
+          return page.size() < kDescendantsPage;
+        }));
+  }
+  return page;
+}
+
+StatusOr<std::vector<NodeMeta>> LocalServerFilter::NodesBatch(
+    const std::vector<uint32_t>& pres) {
+  CountTrip();
+  std::vector<NodeMeta> out;
+  out.reserve(pres.size());
+  for (uint32_t pre : pres) {
+    SSDB_RETURN_IF_ERROR(store_->VisitByPre(
+        pre, [&](const storage::NodeRow& row) { out.push_back(MetaOf(row)); }));
   }
   return out;
 }

@@ -57,6 +57,15 @@ inline NodeMeta MetaOf(const storage::NodeRow& row) {
   return NodeMeta{row.pre, row.post, row.parent, row.nonce};
 }
 
+// Reduces a node set to its covering ancestors, sorted by pre: drops
+// duplicates and every node nested inside another's subtree, so the
+// subtrees left are disjoint and their union is unchanged.
+std::vector<NodeMeta> CoveringSet(std::vector<NodeMeta> nodes);
+
+// Most nodes one DescendantsBatch page carries, and most roots the client
+// puts in one request (DESIGN.md §6), so both frames stay bounded.
+inline constexpr size_t kDescendantsPage = 8192;
+
 // Identity of the connection issuing a cursor operation (DESIGN.md §7).
 // Session 0 is the implicit session of the single-connection entry points;
 // the concurrent transport passes each connection's id. A strong type so
@@ -87,6 +96,20 @@ class ServerFilter {
   virtual StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t cursor,
                                                     size_t max_batch) = 0;
   virtual Status CloseCursor(uint64_t cursor) = 0;
+
+  // Stateless set-at-a-time structure reads (DESIGN.md §6): one exchange
+  // serves a whole query step. The defaults are built from the calls above,
+  // so a decorator that forwards only those still answers them;
+  // LocalServerFilter overrides both with one store pass per root or pre.
+  //
+  // The union of the roots' proper descendants in pre order, each node
+  // once: the page of at most kDescendantsPage nodes whose pres follow
+  // `resume_after`. Roots may nest or repeat. A shorter page is the last.
+  virtual StatusOr<std::vector<NodeMeta>> DescendantsBatch(
+      const std::vector<NodeMeta>& roots, uint32_t resume_after);
+  // The nodes at `pres`; out[i] is node pres[i]. NotFound if any is absent.
+  virtual StatusOr<std::vector<NodeMeta>> NodesBatch(
+      const std::vector<uint32_t>& pres);
 
   // Session-scoped cursor entry points used by the concurrent transport
   // (DESIGN.md §7): a cursor is only visible to the session that opened it.
@@ -241,6 +264,10 @@ class LocalServerFilter : public ServerFilter {
   StatusOr<NodeMeta> GetNode(uint32_t pre) override;
   StatusOr<std::vector<NodeMeta>> Children(uint32_t pre) override;
   StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
+      const std::vector<uint32_t>& pres) override;
+  StatusOr<std::vector<NodeMeta>> DescendantsBatch(
+      const std::vector<NodeMeta>& roots, uint32_t resume_after) override;
+  StatusOr<std::vector<NodeMeta>> NodesBatch(
       const std::vector<uint32_t>& pres) override;
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override;

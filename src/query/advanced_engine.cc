@@ -44,13 +44,6 @@ std::vector<gf::Elem> AdvancedEngine::LookaheadValues(
   return values;
 }
 
-StatusOr<bool> AdvancedEngine::ContainsAll(
-    const NodeMeta& node, const std::vector<gf::Elem>& values) {
-  // One batched exchange for the whole look-ahead set (k evaluations, one
-  // server call) — the chatty alternative is measured in bench_rpc.
-  return filter_->ContainsAllValues(node, values);
-}
-
 StatusOr<std::vector<NodeMeta>> AdvancedEngine::FilterByLookahead(
     std::vector<NodeMeta> nodes, const std::vector<gf::Elem>& values) {
   if (nodes.empty() || values.empty()) return nodes;
@@ -74,13 +67,8 @@ StatusOr<std::vector<NodeMeta>> AdvancedEngine::RunSteps(
     if (absent) return std::vector<NodeMeta>{};
 
     if (step.kind == Step::Kind::kParent) {
-      std::vector<NodeMeta> parents;
-      for (const NodeMeta& node : candidates) {
-        StatusOr<NodeMeta> parent = filter_->Parent(node);
-        if (parent.ok()) parents.push_back(*parent);
-      }
-      internal::Canonicalize(&parents);
-      candidates = std::move(parents);
+      // One exchange for the whole set; the root drops out.
+      SSDB_ASSIGN_OR_RETURN(candidates, filter_->Parents(candidates));
       continue;
     }
 
@@ -118,14 +106,10 @@ StatusOr<std::vector<NodeMeta>> AdvancedEngine::RunSteps(
       // No tag to prune on: expand all descendants (plus the node itself
       // when stepping from the virtual document node, whose descendants
       // include the root), filter by look-ahead in one batch.
-      std::vector<NodeMeta> pool;
+      SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> pool,
+                            filter_->DescendantsBatch(candidates));
       if (first && from_document_root) {
-        pool = candidates;
-      }
-      for (const NodeMeta& node : candidates) {
-        SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> descendants,
-                              filter_->Descendants(node));
-        pool.insert(pool.end(), descendants.begin(), descendants.end());
+        pool.insert(pool.end(), candidates.begin(), candidates.end());
       }
       internal::Canonicalize(&pool);
       if (stats != nullptr) stats->candidates_examined += pool.size();
@@ -161,17 +145,17 @@ StatusOr<std::vector<NodeMeta>> AdvancedEngine::RunSteps(
     }
     internal::Canonicalize(&next);
 
-    // Predicate filtering (relative sub-path existence).
+    // Predicate filtering (relative sub-path existence), run for the whole
+    // set at once.
     if (!step.predicate.empty()) {
-      std::vector<NodeMeta> kept;
-      for (const NodeMeta& node : next) {
-        SSDB_ASSIGN_OR_RETURN(
-            std::vector<NodeMeta> sub,
-            RunSteps(step.predicate, {node}, /*from_document_root=*/false,
-                     mode, stats));
-        if (!sub.empty()) kept.push_back(node);
-      }
-      next = std::move(kept);
+      SSDB_ASSIGN_OR_RETURN(
+          next, internal::FilterByPredicate(
+                    std::move(next), step.predicate,
+                    [&](std::vector<NodeMeta> origins) {
+                      return RunSteps(step.predicate, std::move(origins),
+                                      /*from_document_root=*/false, mode,
+                                      stats);
+                    }));
     }
 
     candidates = std::move(next);

@@ -36,10 +36,6 @@ class AdvancedEngine : public QueryEngine {
   std::vector<gf::Elem> LookaheadValues(const std::vector<Step>& steps,
                                         size_t from, bool* absent_name) const;
 
-  // True iff node's subtree contains every value in `values`.
-  StatusOr<bool> ContainsAll(const filter::NodeMeta& node,
-                             const std::vector<gf::Elem>& values);
-
   // Keeps the nodes whose subtree contains every value in `values` — one
   // server exchange per value, not per node.
   StatusOr<std::vector<filter::NodeMeta>> FilterByLookahead(

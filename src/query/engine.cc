@@ -36,13 +36,72 @@ StatusOr<std::vector<filter::NodeMeta>> TestNodes(
   return ApplyMask(std::move(nodes), mask);
 }
 
-StatusOr<bool> TestNode(filter::ClientFilter* filter,
-                        const filter::NodeMeta& node, gf::Elem value,
-                        MatchMode mode) {
-  if (mode == MatchMode::kContainment) {
-    return filter->ContainsValue(node, value);
+namespace {
+
+// Splits pre-sorted, duplicate-free nodes into layers by how many of the
+// other nodes are their ancestors; no layer holds two nested nodes, and
+// each layer stays sorted by pre.
+std::vector<std::vector<filter::NodeMeta>> NestingLayers(
+    const std::vector<filter::NodeMeta>& nodes) {
+  std::vector<std::vector<filter::NodeMeta>> layers;
+  std::vector<uint32_t> open_posts;  // the current node's ancestors
+  for (const filter::NodeMeta& node : nodes) {
+    while (!open_posts.empty() && open_posts.back() < node.post) {
+      open_posts.pop_back();
+    }
+    if (layers.size() <= open_posts.size()) layers.emplace_back();
+    layers[open_posts.size()].push_back(node);
+    open_posts.push_back(node.post);
   }
-  return filter->EqualsValue(node, value);
+  return layers;
+}
+
+// Whether a sub-path can leave its origin's subtree: at some step its
+// '..' steps outnumber the steps down ('//' descends at least one level).
+bool LeavesOrigin(const std::vector<Step>& path) {
+  int depth = 0;
+  for (const Step& step : path) {
+    depth += step.kind == Step::Kind::kParent ? -1 : 1;
+    if (depth < 0) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+StatusOr<std::vector<filter::NodeMeta>> FilterByPredicate(
+    std::vector<filter::NodeMeta> nodes, const std::vector<Step>& predicate,
+    const SubPathRunner& run) {
+  std::vector<filter::NodeMeta> kept;
+  if (LeavesOrigin(predicate)) {
+    for (const filter::NodeMeta& node : nodes) {
+      SSDB_ASSIGN_OR_RETURN(std::vector<filter::NodeMeta> hits, run({node}));
+      if (!hits.empty()) kept.push_back(node);
+    }
+    return kept;
+  }
+  Canonicalize(&nodes);
+  for (std::vector<filter::NodeMeta>& layer : NestingLayers(nodes)) {
+    SSDB_ASSIGN_OR_RETURN(std::vector<filter::NodeMeta> hits, run(layer));
+    std::vector<uint8_t> credited(layer.size(), 0);
+    for (const filter::NodeMeta& hit : hits) {
+      // The last origin at or before the hit in pre order is the only one
+      // whose subtree (itself included) can hold it.
+      auto origin = std::upper_bound(
+          layer.begin(), layer.end(), hit.pre,
+          [](uint32_t pre, const filter::NodeMeta& node) {
+            return pre < node.pre;
+          });
+      if (origin == layer.begin()) continue;
+      --origin;
+      if (hit.post <= origin->post) credited[origin - layer.begin()] = 1;
+    }
+    std::vector<filter::NodeMeta> layer_kept =
+        ApplyMask(std::move(layer), credited);
+    kept.insert(kept.end(), layer_kept.begin(), layer_kept.end());
+  }
+  Canonicalize(&kept);
+  return kept;
 }
 
 std::vector<filter::NodeMeta> ApplyMask(std::vector<filter::NodeMeta> nodes,

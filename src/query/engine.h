@@ -8,6 +8,7 @@
 #ifndef SSDB_QUERY_ENGINE_H_
 #define SSDB_QUERY_ENGINE_H_
 
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -57,11 +58,22 @@ StatusOr<std::vector<filter::NodeMeta>> TestNodes(
     filter::ClientFilter* filter, std::vector<filter::NodeMeta> nodes,
     gf::Elem value, MatchMode mode);
 
-// Tests one node against a mapped tag value under the given mode (wrapper
-// over TestNodes for diagnostics and tests).
-StatusOr<bool> TestNode(filter::ClientFilter* filter,
-                        const filter::NodeMeta& node, gf::Elem value,
-                        MatchMode mode);
+// Runs a predicate's relative sub-path from a set of origins and returns
+// the nodes it reaches.
+using SubPathRunner = std::function<StatusOr<std::vector<filter::NodeMeta>>(
+    std::vector<filter::NodeMeta> origins)>;
+
+// Predicate filtering, set-at-a-time (DESIGN.md §6): keeps the nodes from
+// which `run` reaches at least one node. A sub-path that stays inside its
+// origin's subtree — every '..' undoes a step down — runs once per nesting
+// layer of `nodes` (once when no node is another's ancestor), and each hit
+// is credited to the origin whose subtree holds it, by pre/post
+// containment; within a layer the subtrees are disjoint, so the credit is
+// exact. A sub-path that climbs above its origin ('[..]', '[../x]') runs
+// once per node.
+StatusOr<std::vector<filter::NodeMeta>> FilterByPredicate(
+    std::vector<filter::NodeMeta> nodes, const std::vector<Step>& predicate,
+    const SubPathRunner& run);
 
 // Keeps nodes[i] iff mask[i] != 0.
 std::vector<filter::NodeMeta> ApplyMask(std::vector<filter::NodeMeta> nodes,

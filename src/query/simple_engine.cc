@@ -35,46 +35,32 @@ StatusOr<std::vector<NodeMeta>> SimpleEngine::RunSteps(
     const Step& step = steps[i];
     bool first = (i == 0);
 
-    // 1. Structural expansion.
-    std::vector<NodeMeta> expanded;
+    // 1. Structural expansion: one exchange for the whole candidate set
+    // (one per kDescendantsPage nodes for '//').
     if (step.kind == Step::Kind::kParent) {
-      for (const NodeMeta& node : candidates) {
-        StatusOr<NodeMeta> parent = filter_->Parent(node);
-        if (parent.ok()) expanded.push_back(*parent);
-        // Root has no parent: it simply drops out.
-      }
-      internal::Canonicalize(&expanded);
-      candidates = std::move(expanded);
-      continue;  // no name filtering on '..'
+      // The root has no parent and drops out; no name filtering on '..'.
+      SSDB_ASSIGN_OR_RETURN(candidates, filter_->Parents(candidates));
+      continue;
     }
+    std::vector<NodeMeta> expanded;
     if (first && from_document_root) {
       // From the virtual document node: '/x' sees only the root as a child;
       // '//x' sees the root and everything below it.
-      if (step.axis == Step::Axis::kChild) {
-        expanded = candidates;
-      } else {
-        expanded = candidates;  // the root itself ...
-        for (const NodeMeta& node : candidates) {
-          SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> descendants,
-                                filter_->Descendants(node));
-          expanded.insert(expanded.end(), descendants.begin(),
-                          descendants.end());
-        }
+      expanded = candidates;
+      if (step.axis == Step::Axis::kDescendant) {
+        SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> descendants,
+                              filter_->DescendantsBatch(candidates));
+        expanded.insert(expanded.end(), descendants.begin(),
+                        descendants.end());
       }
     } else if (step.axis == Step::Axis::kChild) {
-      // One exchange expands the whole candidate set.
       SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<NodeMeta>> child_lists,
                             filter_->ChildrenBatch(candidates));
       for (std::vector<NodeMeta>& children : child_lists) {
         expanded.insert(expanded.end(), children.begin(), children.end());
       }
     } else {
-      for (const NodeMeta& node : candidates) {
-        SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> descendants,
-                              filter_->Descendants(node));
-        expanded.insert(expanded.end(), descendants.begin(),
-                        descendants.end());
-      }
+      SSDB_ASSIGN_OR_RETURN(expanded, filter_->DescendantsBatch(candidates));
     }
     internal::Canonicalize(&expanded);
     if (stats != nullptr) stats->candidates_examined += expanded.size();
@@ -96,17 +82,17 @@ StatusOr<std::vector<NodeMeta>> SimpleEngine::RunSteps(
           internal::TestNodes(filter_, std::move(expanded), *value, mode));
     }
 
-    // 3. Predicate filtering (existence of the relative sub-path).
+    // 3. Predicate filtering (existence of the relative sub-path), run for
+    // the whole set at once.
     if (!step.predicate.empty()) {
-      std::vector<NodeMeta> kept;
-      for (const NodeMeta& node : filtered) {
-        SSDB_ASSIGN_OR_RETURN(
-            std::vector<NodeMeta> sub,
-            RunSteps(step.predicate, {node}, /*from_document_root=*/false,
-                     mode, stats));
-        if (!sub.empty()) kept.push_back(node);
-      }
-      filtered = std::move(kept);
+      SSDB_ASSIGN_OR_RETURN(
+          filtered,
+          internal::FilterByPredicate(
+              std::move(filtered), step.predicate,
+              [&](std::vector<NodeMeta> origins) {
+                return RunSteps(step.predicate, std::move(origins),
+                                /*from_document_root=*/false, mode, stats);
+              }));
     }
 
     candidates = std::move(filtered);

@@ -54,6 +54,40 @@ StatusOr<std::vector<filter::NodeMeta>> RemoteServerFilter::Children(
   return ConsumeNodeMetas(&view);
 }
 
+StatusOr<std::vector<filter::NodeMeta>> RemoteServerFilter::DescendantsBatch(
+    const std::vector<filter::NodeMeta>& roots, uint32_t resume_after) {
+  Request request;
+  request.op = Op::kDescendantsBatch;
+  request.pre = resume_after;
+  request.pres.reserve(roots.size());
+  request.posts.reserve(roots.size());
+  for (const filter::NodeMeta& root : roots) {
+    request.pres.push_back(root.pre);
+    request.posts.push_back(root.post);
+  }
+  SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
+  std::string_view view = payload;
+  return ConsumeNodeMetas(&view);
+}
+
+StatusOr<std::vector<filter::NodeMeta>> RemoteServerFilter::NodesBatch(
+    const std::vector<uint32_t>& pres) {
+  std::vector<filter::NodeMeta> all;
+  all.reserve(pres.size());
+  for (size_t begin = 0; begin < pres.size(); begin += kChildrenChunk) {
+    size_t end = std::min(begin + kChildrenChunk, pres.size());
+    Request request;
+    request.op = Op::kNodesBatch;
+    request.pres.assign(pres.begin() + begin, pres.begin() + end);
+    SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
+    std::string_view view = payload;
+    SSDB_ASSIGN_OR_RETURN(std::vector<filter::NodeMeta> chunk,
+                          ConsumeNodeMetas(&view));
+    all.insert(all.end(), chunk.begin(), chunk.end());
+  }
+  return all;
+}
+
 StatusOr<uint64_t> RemoteServerFilter::OpenDescendantCursor(uint32_t pre,
                                                             uint32_t post) {
   Request request;

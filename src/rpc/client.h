@@ -32,6 +32,12 @@ class RemoteServerFilter : public filter::ServerFilter {
   StatusOr<std::vector<filter::NodeMeta>> Children(uint32_t pre) override;
   StatusOr<std::vector<std::vector<filter::NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) override;
+  StatusOr<std::vector<filter::NodeMeta>> DescendantsBatch(
+      const std::vector<filter::NodeMeta>& roots,
+      uint32_t resume_after) override;
+  // Streams pres in chunks of kChildrenChunk, like ChildrenBatch.
+  StatusOr<std::vector<filter::NodeMeta>> NodesBatch(
+      const std::vector<uint32_t>& pres) override;
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override;
   StatusOr<std::vector<filter::NodeMeta>> NextNodes(uint64_t cursor,

@@ -109,7 +109,13 @@ std::string EncodeRequest(const Request& request) {
       }
       break;
     case Op::kFetchColumnsBatch:
+    case Op::kNodesBatch:
       AppendVarintList(&out, request.pres);
+      break;
+    case Op::kDescendantsBatch:
+      PutVarint64(&out, request.pre);
+      AppendVarintList(&out, request.pres);
+      AppendVarintList(&out, request.posts);
       break;
   }
   return out;
@@ -217,7 +223,17 @@ StatusOr<Request> DecodeRequest(std::string_view data) {
       break;
     }
     case Op::kFetchColumnsBatch:
+    case Op::kNodesBatch:
       SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.pres));
+      break;
+    case Op::kDescendantsBatch:
+      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
+      request.pre = static_cast<uint32_t>(v);
+      SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.pres));
+      SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.posts));
+      if (request.posts.size() != request.pres.size()) {
+        return Status::Corruption("descendant roots: pre/post count mismatch");
+      }
       break;
     default:
       return Status::Corruption("unknown op " +

@@ -72,6 +72,12 @@ enum class Op : uint8_t {
   // Aggregate + verification blobs of many nodes (the mutation planner's
   // column fetch, DESIGN.md §12).
   kFetchColumnsBatch = 27,
+  // Set-at-a-time structure reads (DESIGN.md §6). kDescendantsBatch: a
+  // page of the union of the roots' subtrees — resume pre in `pre`, roots
+  // as parallel `pres`/`posts` lists. kNodesBatch: the nodes at `pres` (a
+  // whole '..' step).
+  kDescendantsBatch = 28,
+  kNodesBatch = 29,
 };
 
 // Two-phase step selector for the mutation ops (DESIGN.md §12).
@@ -100,6 +106,7 @@ struct Request {
   uint64_t batch = 0;
   gf::Elem point = 0;
   std::vector<uint32_t> pres;
+  std::vector<uint32_t> posts;  // kDescendantsBatch, parallel to pres
   std::vector<gf::Elem> points;
   // Aggregation fields (kAggregate / kAggregateBatch, DESIGN.md §8); the
   // frontier rides in `pres`.

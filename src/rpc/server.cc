@@ -33,6 +33,23 @@ Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
       AppendNodeMetas(payload, metas);
       return Status::OK();
     }
+    case Op::kDescendantsBatch: {
+      std::vector<filter::NodeMeta> roots(request.pres.size());
+      for (size_t i = 0; i < roots.size(); ++i) {
+        roots[i].pre = request.pres[i];
+        roots[i].post = request.posts[i];
+      }
+      SSDB_ASSIGN_OR_RETURN(std::vector<filter::NodeMeta> metas,
+                            filter->DescendantsBatch(roots, request.pre));
+      AppendNodeMetas(payload, metas);
+      return Status::OK();
+    }
+    case Op::kNodesBatch: {
+      SSDB_ASSIGN_OR_RETURN(std::vector<filter::NodeMeta> metas,
+                            filter->NodesBatch(request.pres));
+      AppendNodeMetas(payload, metas);
+      return Status::OK();
+    }
     case Op::kOpenCursor: {
       SSDB_ASSIGN_OR_RETURN(
           uint64_t cursor,

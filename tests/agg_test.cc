@@ -291,13 +291,13 @@ TEST_F(AggTest, CoveringSetDropsNestedNodes) {
       {2, 9, 1},   // nested in root
       {5, 2, 2},   // duplicate
   };
-  std::vector<filter::NodeMeta> covering = agg::CoveringSet(nodes);
+  std::vector<filter::NodeMeta> covering = filter::CoveringSet(nodes);
   ASSERT_EQ(covering.size(), 1u);
   EXPECT_EQ(covering[0].pre, 1u);
 
   // Disjoint siblings all survive.
   std::vector<filter::NodeMeta> siblings = {{2, 3, 1}, {5, 6, 1}, {8, 9, 1}};
-  EXPECT_EQ(agg::CoveringSet(siblings).size(), 3u);
+  EXPECT_EQ(filter::CoveringSet(siblings).size(), 3u);
 }
 
 // Remote deployment: aggregate round trips are O(query steps) and the

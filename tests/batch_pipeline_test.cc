@@ -1,7 +1,10 @@
 // Regression coverage for the batched evaluation pipeline: a query step
 // costs a bounded number of server round trips regardless of candidate-set
-// size, measured over a real unix-domain socket channel; and the scalar
-// matching APIs remain exact wrappers over the batch path.
+// size — child, '//', '//*', '..' and predicate steps alike, on both engines
+// and modes, measured over real unix-domain sockets (m = 1 and m = 2); the
+// paged DescendantsBatch op answers exactly across pages, nested roots and
+// resume points; and the scalar matching APIs remain exact wrappers over
+// the batch path.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +18,11 @@
 #include "query/advanced_engine.h"
 #include "query/simple_engine.h"
 #include "rpc/client.h"
+#include "rpc/concurrent_server.h"
 #include "rpc/server.h"
 #include "rpc/socket_channel.h"
 #include "test_helpers.h"
+#include "util/file_util.h"
 
 namespace ssdb {
 namespace {
@@ -273,6 +278,235 @@ TEST(BatchPipelineTest, EnginesAgreeLocalAndRemoteBothModes) {
       });
     }
   }
+}
+
+// Serves `xml` as m = 2 share slices from concurrent servers over unix
+// sockets and returns the round trips each (query, engine, mode) costs.
+std::vector<uint64_t> TripsOverTwoSockets(
+    const std::string& xml, const std::vector<std::string>& queries) {
+  auto map = *mapping::TagMap::FromNames(
+      {"site", "people", "person", "address", "city"}, *gf::Field::Make(83));
+  const prg::Seed seed = prg::Seed::FromUint64(5);
+  core::DatabaseOptions options;
+  options.servers = 2;
+  auto served = core::EncryptedXmlDatabase::Encode(xml, map, seed, options);
+  SSDB_CHECK(served.ok());
+  TempDir dir("batch_sockets");
+  std::vector<std::unique_ptr<rpc::ConcurrentServer>> servers;
+  std::vector<std::unique_ptr<rpc::Channel>> channels;
+  for (size_t i = 0; i < 2; ++i) {
+    std::string path = dir.FilePath("s" + std::to_string(i) + ".sock");
+    auto listener = rpc::UnixServerSocket::Listen(path);
+    SSDB_CHECK(listener.ok());
+    servers.push_back(std::make_unique<rpc::ConcurrentServer>(
+        (*served)->ring(), (*served)->slice_filter(i), std::move(*listener)));
+    SSDB_CHECK_OK(servers.back()->Start());
+    auto channel = rpc::ConnectUnix(path);
+    SSDB_CHECK(channel.ok());
+    channels.push_back(std::move(*channel));
+  }
+  auto client = core::EncryptedXmlDatabase::ConnectRemoteMulti(
+      std::move(channels), map, seed, 83, 1);
+  SSDB_CHECK(client.ok());
+  std::vector<uint64_t> trips;
+  for (const std::string& text : queries) {
+    for (core::EngineKind engine :
+         {core::EngineKind::kSimple, core::EngineKind::kAdvanced}) {
+      for (query::MatchMode mode :
+           {query::MatchMode::kContainment, query::MatchMode::kEquality}) {
+        auto result = (*client)->Query(text, engine, mode);
+        EXPECT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+        trips.push_back(result.ok() ? result->stats.eval.round_trips : 0);
+      }
+    }
+  }
+  return trips;
+}
+
+TEST(BatchPipelineTest, EveryAxisCostsTheSameTripsAtAnyCandidateCount) {
+  // Simple '//' (first and later steps), '//*' on both engines, '..' and
+  // predicates that stay below their origin: each costs a fixed number of
+  // exchanges per step, so 8x the candidates must cost exactly the same
+  // round trips.
+  const std::vector<std::string> queries = {
+      "/site//city",
+      "//city",
+      "/site/people//*",
+      "//city/../..",
+      "/site/people/person/address/..",
+      "/site/people/person[address/city]",
+      "/site/people/person[//city]/address",
+      "/site/people/person[address/city/..]",
+      "/site/*[person/address]//city",
+  };
+  std::vector<uint64_t> small = TripsOverTwoSockets(WideXml(5), queries);
+  std::vector<uint64_t> large = TripsOverTwoSockets(WideXml(40), queries);
+  ASSERT_EQ(small.size(), large.size());
+  for (size_t i = 0; i < small.size(); ++i) {
+    EXPECT_EQ(small[i], large[i])
+        << queries[i / 4] << (i % 4 < 2 ? " simple" : " advanced")
+        << (i % 2 == 0 ? " non-strict" : " strict");
+    EXPECT_GT(small[i], 0u);
+    // A handful of exchanges per step, never one per candidate.
+    EXPECT_LE(small[i], 30u) << queries[i / 4];
+  }
+}
+
+// Pages through DescendantsBatch and returns every node; `pages` counts
+// the requests.
+std::vector<filter::NodeMeta> DrainPages(
+    filter::ServerFilter* server, const std::vector<filter::NodeMeta>& roots,
+    bool base_class, size_t* pages) {
+  std::vector<filter::NodeMeta> all;
+  uint32_t resume_after = 0;
+  *pages = 0;
+  for (;;) {
+    ++*pages;
+    auto page = base_class ? server->filter::ServerFilter::DescendantsBatch(
+                                 roots, resume_after)
+                           : server->DescendantsBatch(roots, resume_after);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    if (!page.ok()) return all;
+    all.insert(all.end(), page->begin(), page->end());
+    if (page->size() < filter::kDescendantsPage) return all;
+    resume_after = page->back().pre;
+  }
+}
+
+// The proper descendants of each root in `sorted_roots` (disjoint, sorted
+// by pre), read straight from the store.
+std::vector<filter::NodeMeta> ScanAll(
+    storage::NodeStore* store,
+    const std::vector<filter::NodeMeta>& sorted_roots) {
+  std::vector<filter::NodeMeta> out;
+  for (const filter::NodeMeta& root : sorted_roots) {
+    EXPECT_TRUE(store
+                    ->ScanDescendants(root.pre, root.post,
+                                      [&](const storage::NodeRow& row) {
+                                        out.push_back(filter::MetaOf(row));
+                                        return true;
+                                      })
+                    .ok());
+  }
+  return out;
+}
+
+TEST(BatchPipelineTest, DescendantsBatchPagesNestedAndDuplicateRoots) {
+  // 6000 persons x 3 nodes: the root's subtree fills three pages.
+  auto db = BuildTestDb(WideXml(6000));
+  auto root = *db->client->Root();
+  auto people = (*db->client->Children(root))[0];
+  auto persons = *db->client->Children(people);
+  ASSERT_EQ(persons.size(), 6000u);
+
+  const std::vector<filter::NodeMeta> whole = ScanAll(db->store.get(), {root});
+  ASSERT_GT(whole.size(), 2 * filter::kDescendantsPage);
+  // Every person, in reverse order and some twice: disjoint roots whose
+  // union spans two pages.
+  std::vector<filter::NodeMeta> reversed(persons.rbegin(), persons.rend());
+  reversed.insert(reversed.end(), persons.begin(), persons.begin() + 100);
+  const std::vector<filter::NodeMeta> below_persons =
+      ScanAll(db->store.get(), persons);
+  ASSERT_GT(below_persons.size(), filter::kDescendantsPage);
+
+  for (bool base_class : {false, true}) {
+    size_t pages = 0;
+    EXPECT_EQ(DrainPages(db->server.get(),
+                         {people, root, people, persons[0], root}, base_class,
+                         &pages),
+              whole)
+        << "base=" << base_class;
+    EXPECT_EQ(pages, 3u);
+    EXPECT_EQ(DrainPages(db->server.get(), reversed, base_class, &pages),
+              below_persons)
+        << "base=" << base_class;
+    EXPECT_EQ(pages, 2u);
+
+    // Resuming at or past the last node ends the walk.
+    for (uint32_t resume : {whole.back().pre, 1u << 30}) {
+      auto past =
+          base_class
+              ? db->server->filter::ServerFilter::DescendantsBatch({root},
+                                                                   resume)
+              : db->server->DescendantsBatch({root}, resume);
+      ASSERT_TRUE(past.ok());
+      EXPECT_TRUE(past->empty()) << "resume=" << resume;
+    }
+  }
+  // The cursor-built default drains or closes every cursor it opens.
+  EXPECT_EQ(db->server->OpenCursorCount(), 0u);
+
+  // NodesBatch: the local override and the GetNode-loop default agree.
+  std::vector<uint32_t> pres = {whole[3].pre, root.pre, whole[1].pre};
+  auto local = db->server->NodesBatch(pres);
+  auto looped = db->server->filter::ServerFilter::NodesBatch(pres);
+  ASSERT_TRUE(local.ok() && looped.ok());
+  EXPECT_EQ(*local, *looped);
+  EXPECT_EQ((*local)[1], root);
+  EXPECT_FALSE(db->server->NodesBatch({whole.back().pre + 1000}).ok());
+}
+
+TEST(BatchPipelineTest, DescendantsLargerThanOnePageCostOneTripPerPage) {
+  // 2800 persons x 3 nodes: more descendants than one page holds.
+  auto db = BuildTestDb(WideXml(2800));
+  WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
+    filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+    auto root = client.Root();
+    ASSERT_TRUE(root.ok());
+    uint64_t before = remote->round_trips();
+    auto all = client.DescendantsBatch({*root, *root});
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_EQ(remote->round_trips() - before, 2u);
+    ASSERT_EQ(all->size(), 2800u * 3 + 1);
+    ASSERT_GT(all->size(), filter::kDescendantsPage);
+    for (size_t i = 0; i < all->size(); ++i) {
+      ASSERT_EQ((*all)[i].pre, root->pre + 1 + i);
+    }
+  });
+}
+
+// Records the roots each DescendantsBatch request carries.
+class RootRecordingFilter : public filter::LocalServerFilter {
+ public:
+  using LocalServerFilter::LocalServerFilter;
+  StatusOr<std::vector<filter::NodeMeta>> DescendantsBatch(
+      const std::vector<filter::NodeMeta>& roots,
+      uint32_t resume_after) override {
+    root_counts.push_back(roots.size());
+    return LocalServerFilter::DescendantsBatch(roots, resume_after);
+  }
+  std::vector<size_t> root_counts;
+};
+
+TEST(BatchPipelineTest, ManyRootsTravelInBoundedWindows) {
+  // 9000 covering roots: more than one request may carry.
+  auto db = BuildTestDb(WideXml(9000));
+  RootRecordingFilter server(db->ring, db->store.get());
+  filter::ClientFilter client(db->ring, prg::Prg(db->seed), &server);
+  auto root = *client.Root();
+  auto people = (*client.Children(root))[0];
+  auto persons = *client.Children(people);
+  ASSERT_EQ(persons.size(), 9000u);
+
+  auto below = client.DescendantsBatch(persons);
+  ASSERT_TRUE(below.ok()) << below.status().ToString();
+  EXPECT_EQ(*below, ScanAll(db->store.get(), persons));
+  // 18000 nodes are three pages. The first request holds one window of
+  // roots; a full page of 2 nodes per person ends inside person
+  // 4095 (then 8191), so each later request starts at that person.
+  const size_t half = filter::kDescendantsPage / 2;
+  EXPECT_EQ(server.root_counts,
+            (std::vector<size_t>{filter::kDescendantsPage, 9000 - (half - 1),
+                                 9000 - (2 * half - 1)}));
+
+  // Leaf roots have no descendants: one request per window, all empty.
+  std::vector<filter::NodeMeta> cities;
+  for (size_t i = 1; i < below->size(); i += 2) cities.push_back((*below)[i]);
+  server.root_counts.clear();
+  auto none = client.DescendantsBatch(cities);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(server.root_counts.size(), 2u);
 }
 
 }  // namespace

@@ -46,6 +46,9 @@ struct FaultConfig {
   bool on_eval = false;       // EvalAt / EvalAtBatch / EvalPointsBatch
   bool on_share = false;      // FetchShare / FetchShareBatch
   bool on_aggregate = false;  // PartialAggregate / PartialAggregateVerified
+  // NodesBatch (a whole '..' step) answers Unavailable: the server is lost
+  // mid-query on the structure plane.
+  bool fail_nodes = false;
   size_t offset = 0;          // word/group index the fault targets
   uint32_t bit = 0;           // bit position for kBitFlip / kProofOnly
   double probability = 1.0;   // chance a reply is corrupted at all
@@ -99,6 +102,19 @@ class TamperingServerFilter : public filter::ServerFilter {
   StatusOr<std::vector<std::vector<filter::NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) override {
     return inner_->ChildrenBatch(pres);
+  }
+  StatusOr<std::vector<filter::NodeMeta>> DescendantsBatch(
+      const std::vector<filter::NodeMeta>& roots,
+      uint32_t resume_after) override {
+    return inner_->DescendantsBatch(roots, resume_after);
+  }
+  StatusOr<std::vector<filter::NodeMeta>> NodesBatch(
+      const std::vector<uint32_t>& pres) override {
+    if (config_.fail_nodes) {
+      ++faults_injected_;
+      return Status::Unavailable("connection lost");
+    }
+    return inner_->NodesBatch(pres);
   }
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override {

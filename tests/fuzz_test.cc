@@ -29,6 +29,7 @@
 #include "rpc/client.h"
 #include "rpc/protocol.h"
 #include "rpc/server.h"
+#include "rpc/wire.h"
 #include "shard/catalog.h"
 #include "shard/router.h"
 #include "storage/mutation.h"
@@ -245,9 +246,9 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   request.txn = 1;           // mutation fields (ops 24..26, DESIGN.md §12)
   request.phase = rpc::MutationPhase::kPrepare;
   request.plan = "not a plan";
-  // One past kFetchColumnsBatch (27): the last valid opcode plus an
-  // invalid probe.
-  for (uint8_t op = 0; op <= 28; ++op) {
+  request.posts = {9, 8, 7};  // kDescendantsBatch roots (DESIGN.md §6)
+  // One past kNodesBatch (29): the last valid opcode plus an invalid probe.
+  for (uint8_t op = 0; op <= 30; ++op) {
     request.op = static_cast<rpc::Op>(op);
     std::string valid = rpc::EncodeRequest(request);
     for (size_t cut = 0; cut <= valid.size(); ++cut) {
@@ -258,14 +259,17 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   // Oversized batch counts: varints claiming 2^40..2^62 elements must be
   // rejected at decode, not allocated (would OOM or hang the worker).
   for (int shift = 40; shift <= 62; ++shift) {
-    // Batch opcodes, including the mutation planner's column fetch (27).
-    for (uint8_t op : {8, 12, 14, 15, 16, 17, 18, 19, 27}) {
+    // Batch opcodes, including the mutation planner's column fetch (27)
+    // and the set-at-a-time structure reads (28, 29).
+    for (uint8_t op : {8, 12, 14, 15, 16, 17, 18, 19, 27, 28, 29}) {
       std::string frame;
       frame.push_back(static_cast<char>(op));
       // kEvalAtBatch/kEvalPointsBatch carry a point/pre varint before the
-      // count; the aggregate ops (16..19) a column-mask byte (+ a value
-      // index for the scalar forms); for the others the count comes first.
+      // count; kDescendantsBatch a resume pre; the aggregate ops (16..19)
+      // a column-mask byte (+ a value index for the scalar forms); for the
+      // others the count comes first.
       if (op == 8 || op == 12) frame.push_back(1);
+      if (op == 28) frame.push_back(1);
       if (op >= 16 && op <= 19) frame.push_back(0x01);
       if (op == 16 || op == 18) frame.push_back(0);
       uint64_t huge = uint64_t{1} << shift;
@@ -313,6 +317,87 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   ASSERT_TRUE(after.ok());
   db->server->EndSession(filter::SessionId{0});
   EXPECT_EQ(db->server->OpenCursorCount(), 0u);
+}
+
+// The set-at-a-time structure reads (DESIGN.md §6) under wild parameters:
+// out-of-range, nested and repeated roots, forged posts, resume points
+// anywhere, out-of-range pres. Every reply is an error or a page of at most
+// kDescendantsPage nodes strictly after the resume pre, so no request can
+// make the server ship the whole document in one frame.
+TEST(FuzzTest, StructureBatchOpsStayBounded) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 9000; ++i) xml += i % 3 == 0 ? "<a><b/></a>" : "<b/>";
+  xml += "</r>";
+  auto db = testing_helpers::BuildTestDb(xml);
+  const uint64_t nodes = *db->store->NodeCount();
+  ASSERT_GT(nodes, filter::kDescendantsPage);
+  rpc::RpcServer server(db->ring, db->server.get());
+  Random rng(2829);
+
+  size_t full_pages = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    rpc::Request request;
+    request.op = rpc::Op::kDescendantsBatch;
+    request.pre = static_cast<uint32_t>(
+        rng.Bernoulli(0.3) ? 0 : rng.Uniform(nodes + 50));
+    size_t roots = rng.Uniform(6);
+    for (size_t i = 0; i < roots; ++i) {
+      bool real = rng.Bernoulli(0.6);
+      uint32_t pre = static_cast<uint32_t>(real ? 1 + rng.Uniform(nodes)
+                                                : rng.Uniform(1u << 31));
+      request.pres.push_back(pre);
+      request.posts.push_back(static_cast<uint32_t>(
+          rng.Bernoulli(0.5) ? nodes + 1 : rng.Uniform(1u << 31)));
+    }
+    std::string response = server.HandleRequest(rpc::EncodeRequest(request));
+    auto payload = rpc::DecodeResponse(response);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    std::string_view view = *payload;
+    auto page = rpc::ConsumeNodeMetas(&view);
+    ASSERT_TRUE(page.ok());
+    ASSERT_LE(page->size(), filter::kDescendantsPage);
+    if (page->size() == filter::kDescendantsPage) ++full_pages;
+    uint32_t last = request.pre;
+    for (const filter::NodeMeta& node : *page) {
+      ASSERT_GT(node.pre, last);
+      last = node.pre;
+    }
+  }
+  EXPECT_GT(full_pages, 0u) << "the cap was never exercised";
+
+  // kNodesBatch: a pre outside the store is an error, never a made-up node.
+  for (int trial = 0; trial < 200; ++trial) {
+    rpc::Request request;
+    request.op = rpc::Op::kNodesBatch;
+    bool in_range = true;
+    size_t count = rng.Uniform(8);
+    for (size_t i = 0; i < count; ++i) {
+      uint32_t pre = static_cast<uint32_t>(rng.Uniform(nodes + 20));
+      in_range = in_range && pre >= 1 && pre <= nodes;
+      request.pres.push_back(pre);
+    }
+    auto payload = rpc::DecodeResponse(
+        server.HandleRequest(rpc::EncodeRequest(request)));
+    ASSERT_EQ(payload.ok(), in_range) << payload.status().ToString();
+    if (!in_range) continue;
+    std::string_view view = *payload;
+    auto metas = rpc::ConsumeNodeMetas(&view);
+    ASSERT_TRUE(metas.ok());
+    ASSERT_EQ(metas->size(), count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ((*metas)[i].pre, request.pres[i]);
+    }
+  }
+
+  // Roots whose pre and post lists disagree in length are a corrupt frame.
+  std::string frame = rpc::EncodeRequest([] {
+    rpc::Request request;
+    request.op = rpc::Op::kDescendantsBatch;
+    request.pres = {1, 2};
+    request.posts = {9};
+    return request;
+  }());
+  EXPECT_FALSE(rpc::DecodeResponse(server.HandleRequest(frame)).ok());
 }
 
 // The mutation ops (24..26, DESIGN.md §12) under the decoder barrage. The

@@ -251,6 +251,55 @@ TEST_F(MultiServerTest, TamperedSliceIsDetectedByFullVerification) {
   EXPECT_EQ(*honest_value, *map_.Lookup("site"));
 }
 
+TEST_F(MultiServerTest, PrimaryLostMidParentStepFailsNamingIt) {
+  // Regression: '..' used to drop every node whose parent lookup failed,
+  // so a primary lost mid-query gave a short answer instead of an error.
+  // Both slices serve over RPC channels; everything before the '..' step
+  // succeeds, then the primary's NodesBatch answers Unavailable.
+  auto db = EncodeWithServers(xml_, map_, seed_, 2);
+  ASSERT_TRUE(db.ok());
+  testing_helpers::FaultConfig config;
+  config.fail_nodes = true;
+  testing_helpers::TamperingServerFilter primary(
+      ring_, (*db)->slice_filter(0), config);
+  std::vector<filter::ServerFilter*> slices = {&primary,
+                                               (*db)->slice_filter(1)};
+  std::vector<std::unique_ptr<rpc::ServerThread>> servers;
+  std::vector<std::unique_ptr<rpc::Channel>> channels;
+  for (filter::ServerFilter* slice : slices) {
+    rpc::ChannelPair pair = rpc::CreateInProcessChannelPair();
+    servers.push_back(std::make_unique<rpc::ServerThread>(
+        ring_, slice, std::move(pair.server)));
+    channels.push_back(std::move(pair.client));
+  }
+  auto client = core::EncryptedXmlDatabase::ConnectRemoteMulti(
+      std::move(channels), map_, seed_, 83, 1);
+  ASSERT_TRUE(client.ok());
+
+  for (const char* text : {"//address/../name", "/site/people/person/.."}) {
+    for (core::EngineKind engine :
+         {core::EngineKind::kSimple, core::EngineKind::kAdvanced}) {
+      for (query::MatchMode mode :
+           {query::MatchMode::kContainment, query::MatchMode::kEquality}) {
+        auto result = (*client)->Query(text, engine, mode);
+        ASSERT_FALSE(result.ok()) << text << " answered "
+                                  << result->nodes.size() << " nodes";
+        EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+        EXPECT_NE(result.status().message().find("server 0"),
+                  std::string::npos)
+            << result.status().ToString();
+      }
+    }
+  }
+  EXPECT_GT(primary.faults_injected(), 0u);
+
+  // Only the root may drop out of '..': it has no parent to ask for.
+  auto root_parent = (*client)->Query("/site/..", core::EngineKind::kSimple,
+                                      query::MatchMode::kContainment);
+  ASSERT_TRUE(root_parent.ok()) << root_parent.status().ToString();
+  EXPECT_TRUE(root_parent->nodes.empty());
+}
+
 TEST_F(MultiServerTest, StragglerCountersAreConsistentUnderConcurrency) {
   // Regression (TSan): round_trips_ / straggler_seconds_ used to be plain
   // fields updated by concurrent fan-out calls — a data race, and drops of

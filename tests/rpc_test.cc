@@ -42,7 +42,8 @@ TEST(ProtocolTest, RequestRoundTripAllOps) {
                 Op::kNextNodes, Op::kCloseCursor, Op::kEvalAt,
                 Op::kEvalAtBatch, Op::kFetchShare, Op::kNodeCount,
                 Op::kShutdown, Op::kEvalPointsBatch, Op::kFetchSealed,
-                Op::kFetchShareBatch, Op::kChildrenBatch}) {
+                Op::kFetchShareBatch, Op::kChildrenBatch,
+                Op::kDescendantsBatch, Op::kNodesBatch}) {
     Request request;
     request.op = op;
     request.pre = 12;
@@ -51,10 +52,19 @@ TEST(ProtocolTest, RequestRoundTripAllOps) {
     request.batch = 78;
     request.point = 9;
     request.pres = {1, 2, 3};
+    request.posts = {7, 8, 9};
     request.points = {4, 5};
     auto decoded = DecodeRequest(EncodeRequest(request));
     ASSERT_TRUE(decoded.ok()) << static_cast<int>(op);
     EXPECT_EQ(decoded->op, op);
+    if (op == Op::kDescendantsBatch) {
+      EXPECT_EQ(decoded->pre, 12u);
+      EXPECT_EQ(decoded->pres, request.pres);
+      EXPECT_EQ(decoded->posts, request.posts);
+    }
+    if (op == Op::kNodesBatch) {
+      EXPECT_EQ(decoded->pres, request.pres);
+    }
   }
   EXPECT_FALSE(DecodeRequest("").ok());
   EXPECT_FALSE(DecodeRequest("\x63junk").ok());
