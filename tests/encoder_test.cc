@@ -77,6 +77,70 @@ TEST(EncoderTest, EvalAndCoefficientDomainsAgree) {
   }
 }
 
+// Byte pins: the digest of every row of every slice (and the byte counters)
+// of fixed-seed encodes. Any change to a share, mask, column or seal draw
+// moves one of these; a refactor of the encoder must leave all of them.
+uint64_t EncodeDigest(uint32_t m, bool aggregates, bool verify, bool seal,
+                      bool trie) {
+  auto fixture = BuildTestDb(SmallAuctionXml(), 83, trie);
+  std::vector<std::unique_ptr<storage::MemoryNodeStore>> stores;
+  std::vector<storage::NodeStore*> targets;
+  for (uint32_t i = 0; i < m; ++i) {
+    stores.push_back(std::make_unique<storage::MemoryNodeStore>());
+    targets.push_back(stores.back().get());
+  }
+  EncodeOptions options;
+  options.trie = trie;
+  options.aggregate_columns = aggregates;
+  options.verify_aggregate = verify;
+  options.seal_content = seal;
+  Encoder encoder(fixture->ring, fixture->map,
+                  prg::Prg(prg::Seed::FromUint64(11)), targets, options);
+  auto result = encoder.EncodeString(SmallAuctionXml());
+  SSDB_CHECK(result.ok()) << result.status().ToString();
+
+  testing_helpers::RowDigest digest;
+  digest.Add(result->node_count);
+  digest.Add(result->max_depth);
+  digest.Add(result->share_bytes);
+  digest.Add(result->agg_bytes);
+  digest.Add(result->verify_bytes);
+  for (auto& store : stores) {
+    for (uint32_t pre = 1; pre <= result->node_count; ++pre) {
+      auto row = store->GetByPre(pre);
+      SSDB_CHECK(row.ok()) << row.status().ToString();
+      digest.AddRow(*row);
+    }
+  }
+  return digest.value();
+}
+
+TEST(EncoderTest, StoredRowsArePinned) {
+  struct Case {
+    uint32_t m;
+    bool aggregates, verify, seal, trie;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, true, false, false, false, 0xcb1bd8623c46ef8eull},
+      {1, true, false, true, false, 0x2b86a9d1af4eda19ull},
+      {1, true, true, false, false, 0x8c226a03a24c3bafull},
+      {1, true, true, true, false, 0x9bce9c41be6eacaeull},
+      {2, true, false, false, false, 0xaa9576afa5c11a12ull},
+      {2, true, false, true, false, 0x1c25662f3380df0dull},
+      {2, true, true, false, false, 0x68913d3c2e16910bull},
+      {2, true, true, true, false, 0x6655f68f73b5679eull},
+      {2, false, false, true, false, 0x80367f9f38d464acull},
+      {2, true, true, true, true, 0xf5524ff5033ed7b7ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(EncodeDigest(c.m, c.aggregates, c.verify, c.seal, c.trie),
+              c.digest)
+        << "m=" << c.m << " aggregates=" << c.aggregates
+        << " verify=" << c.verify << " seal=" << c.seal << " trie=" << c.trie;
+  }
+}
+
 TEST(EncoderTest, FailsOnUnmappedTag) {
   auto field = *gf::Field::Make(83);
   auto map = *mapping::TagMap::FromNames({"a"}, field);

@@ -303,6 +303,59 @@ TEST_F(MutateTest, DeleteMatchesFreshEncode) {
                      Snapshot(expected->client_filter(), true));
 }
 
+// Byte pins of the planner's output at m = 2 with sealing and the §9 track:
+// the digest covers every upsert row of every slice plus the erase/shift
+// window, nonce watermark and stats. The equivalence tests above check what
+// a client can recover; these check the exact bytes the servers receive.
+uint64_t PlanDigest(const encode::PlannedMutation& planned) {
+  testing_helpers::RowDigest digest;
+  digest.Add(planned.txn);
+  digest.Add(planned.stats.path_nodes);
+  digest.Add(planned.stats.subtree_nodes);
+  digest.Add(planned.stats.children_fetched);
+  digest.Add(planned.stats.reshared_bytes);
+  for (const storage::MutationPlan& plan : planned.plans) {
+    digest.Add(static_cast<uint64_t>(plan.kind));
+    digest.Add(plan.base_version);
+    digest.Add(plan.next_nonce);
+    digest.Add(plan.erase_lo);
+    digest.Add(plan.erase_hi);
+    digest.Add(plan.shift_pre_gt);
+    digest.Add(static_cast<uint64_t>(plan.shift_delta));
+    digest.Add(plan.upserts.size());
+    for (const storage::NodeRow& row : plan.upserts) digest.AddRow(row);
+  }
+  return digest.value();
+}
+
+TEST_F(MutateTest, PlansArePinned) {
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+  auto db = MakeDb(kLibXml, map, 2, /*seal=*/true);
+  encode::Mutator mutator(db->ring(), map, prg::Prg(seed_),
+                          db->server_filter());
+  auto pin = [](const StatusOr<encode::PlannedMutation>& planned) {
+    SSDB_CHECK(planned.ok()) << planned.status().ToString();
+    EXPECT_EQ(planned->plans.size(), 2u);
+    return PlanDigest(*planned);
+  };
+  EXPECT_EQ(pin(mutator.PlanInsert(2, "<box><coin>c9</coin><coin/></box>")),
+            0x8c2d6a51085cf361ull);
+  EXPECT_EQ(pin(mutator.PlanUpdate(8, "book", std::nullopt)),
+            0x7d8f01a13cd43001ull);
+  EXPECT_EQ(pin(mutator.PlanUpdate(4, "", std::string("T-ONE"))),
+            0xbbf29ab0e0e4c803ull);
+  EXPECT_EQ(pin(mutator.PlanDelete(3)), 0x1eb42f8f2061cec1ull);
+
+  // After a committed insert the tail rows carry shifted pres and their
+  // original nonces, and the root path carries mutation nonces.
+  ASSERT_TRUE(db->Insert(2, "<box><coin>c9</coin></box>").ok());
+  EXPECT_EQ(pin(mutator.PlanDelete(10)), 0x87fead8106efdf4full);
+  EXPECT_EQ(pin(mutator.PlanUpdate(11, "title", std::string("x"))),
+            0x75998ab615219a23ull);
+  EXPECT_EQ(pin(mutator.PlanInsert(9, "<title>t3</title>")),
+            0xdcc0c0bd461c5fdaull);
+}
+
 // A chain of mutations: every commit bumps the version by one, and the end
 // state matches one fresh encode of the final document.
 TEST_F(MutateTest, MutationSequenceAdvancesVersions) {

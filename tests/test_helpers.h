@@ -33,6 +33,38 @@ inline storage::NodeRow MakeRow(uint32_t pre, uint32_t post, uint32_t parent,
   return row;
 }
 
+// FNV-1a over stored rows and counters: a byte pin of what the encoder and
+// the mutation planner write (every field of every row, lengths included).
+class RowDigest {
+ public:
+  void Add(uint64_t value) {
+    for (int i = 0; i < 8; ++i) AddByte(static_cast<uint8_t>(value >> (8 * i)));
+  }
+  void AddBytes(const std::string& bytes) {
+    Add(bytes.size());
+    for (char c : bytes) AddByte(static_cast<uint8_t>(c));
+  }
+  void AddRow(const storage::NodeRow& row) {
+    Add(row.pre);
+    Add(row.post);
+    Add(row.parent);
+    Add(row.nonce);
+    AddBytes(row.share);
+    AddBytes(row.agg);
+    AddBytes(row.verify);
+    AddBytes(row.sealed);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(uint8_t byte) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001b3ULL;
+  }
+
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
 struct TestDb {
   gf::Field field;
   gf::Ring ring;
