@@ -1,7 +1,10 @@
-// Ablation A1 (google-benchmark): finite-field and ring micro-costs that
-// explain the macro numbers — field ops across p, Horner evaluation,
-// coefficient-domain convolution vs evaluation-domain pointwise
-// multiplication, and the two encoder paths end to end.
+// Finite-field and ring micro-costs (google-benchmark) that explain the
+// macro numbers — field ops across p, Horner evaluation, coefficient-domain
+// convolution vs evaluation-domain pointwise multiplication and the inverse
+// DFT, and the encoder end to end. The encoder runs in the coefficient
+// domain only: ablation A1 (DESIGN.md §4) found the evaluation-domain
+// path's per-node inverse DFT slower than the sparse ring products it
+// saves.
 
 #include <benchmark/benchmark.h>
 
@@ -193,9 +196,8 @@ void BM_PrgMaskSums(benchmark::State& state) {
 BENCHMARK(BM_PrgMaskSums);
 
 void BM_EncodeDocument(benchmark::State& state) {
-  // End-to-end encoder: eval-domain (arg 1) vs coefficient-domain (arg 0);
-  // the second arg adds the §9 verification track (PRG-bound: two more
-  // mask words per aggregate word).
+  // End-to-end encoder; the arg adds the §9 verification track (PRG-bound:
+  // two more mask words per aggregate word).
   xmark::GeneratorOptions gen;
   gen.target_bytes = 64 << 10;
   std::string xml = xmark::GenerateAuctionDocument(gen).xml;
@@ -211,8 +213,7 @@ void BM_EncodeDocument(benchmark::State& state) {
   }
   auto map = *mapping::TagMap::FromNames(names, field);
   encode::EncodeOptions options;
-  options.use_eval_domain = state.range(0) == 1;
-  options.verify_aggregate = state.range(1) == 1;
+  options.verify_aggregate = state.range(0) == 1;
   uint64_t nodes = 0;
   for (auto _ : state) {
     storage::MemoryNodeStore store;
@@ -225,10 +226,9 @@ void BM_EncodeDocument(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(nodes);
 }
 BENCHMARK(BM_EncodeDocument)
-    ->ArgNames({"eval_domain", "verify_aggregate"})
-    ->Args({1, 0})
-    ->Args({0, 0})
-    ->Args({1, 1})
+    ->ArgNames({"verify_aggregate"})
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,299 +1,12 @@
 #include "encode/encoder.h"
 
-#include <algorithm>
 #include <vector>
 
-#include "agg/columns.h"
-#include "trie/trie.h"
+#include "encode/node_encoder.h"
 #include "util/file_util.h"
 #include "xml/sax.h"
 
 namespace ssdb::encode {
-namespace {
-
-// SAX handler that carries the whole encoding pipeline. One stack frame per
-// open element holds the running product of completed child polynomials —
-// in evaluation or coefficient form depending on the configured path.
-class EncodingHandler : public xml::SaxHandler {
- public:
-  EncodingHandler(const gf::Ring& ring, const gf::Evaluator& evaluator,
-                  const mapping::TagMap& map, const prg::Prg& prg,
-                  const std::vector<storage::NodeStore*>& stores,
-                  const EncodeOptions& options)
-      : ring_(ring),
-        evaluator_(evaluator),
-        map_(map),
-        prg_(prg),
-        stores_(stores),
-        options_(options),
-        value_count_(options.aggregate_columns ? map.size() : 0) {
-    // Verification track (DESIGN.md §9): one client-held α key per mapped
-    // value, drawn once up front from the bit 60+61 nonce subspace.
-    if (options.verify_aggregate && value_count_ > 0) {
-      alpha_.reserve(value_count_);
-      for (uint32_t t = 0; t < value_count_; ++t) {
-        alpha_.push_back(prg_.AggVerifyKey(t));
-      }
-    }
-  }
-
-  Status StartElement(std::string_view name,
-                      const xml::AttributeList&) override {
-    return Open(name);
-  }
-
-  Status EndElement(std::string_view) override { return Close(); }
-
-  Status Characters(std::string_view text) override {
-    if (options_.seal_content && !stack_.empty()) {
-      stack_.back().direct_text += std::string(text);
-    }
-    if (!options_.trie) return Status::OK();  // §3 scheme: tags only
-    // §4 scheme: expand the text into a trie of single-character elements.
-    trie::Trie built =
-        trie::BuildTrieFromText(text, options_.trie_compressed);
-    return EmitTrie(*built.root());
-  }
-
-  EncodeResult TakeResult() {
-    result_.node_count = node_count_;
-    result_.max_depth = max_depth_;
-    result_.share_bytes = share_bytes_;
-    result_.agg_bytes = agg_bytes_;
-    result_.verify_bytes = verify_bytes_;
-    return result_;
-  }
-
- private:
-  struct Frame {
-    uint32_t pre = 0;
-    uint32_t parent = 0;
-    gf::Elem tag_value = 0;
-    uint32_t value_index = 0;  // rank of tag_value among the mapped values
-    std::string tag_name;     // kept only when sealing
-    std::string direct_text;  // kept only when sealing
-    // Product of completed child polynomials; exactly one representation is
-    // active, per options_.use_eval_domain.
-    gf::EvalVector child_evals;   // starts all-ones
-    gf::RingElem child_coeffs;    // starts at the ring's 1
-    bool has_children = false;
-    // Aggregate-column accumulators (DESIGN.md §8), indexed by value rank;
-    // allocated only when aggregate columns are enabled. `mult` collects the
-    // subtree tag histogram bottom-up (own tag added at Close); the other
-    // four collect the child/descendant sums the stored columns need.
-    std::vector<agg::Word> mult;
-    std::vector<agg::Word> child_equal;
-    std::vector<agg::Word> child_contain;
-    std::vector<agg::Word> desc_contain;
-    std::vector<agg::Word> desc_mult;
-  };
-
-  Status Open(std::string_view name) {
-    StatusOr<gf::Elem> value = map_.Lookup(name);
-    if (!value.ok()) {
-      return Status::InvalidArgument("tag not covered by the map file: " +
-                                     std::string(name));
-    }
-    Frame frame;
-    frame.pre = ++pre_counter_;
-    frame.parent = stack_.empty() ? 0 : stack_.back().pre;
-    frame.tag_value = *value;
-    if (options_.seal_content) frame.tag_name = std::string(name);
-    if (value_count_ > 0) {
-      StatusOr<uint32_t> index = map_.ValueIndex(*value);
-      SSDB_RETURN_IF_ERROR(index.status());
-      frame.value_index = *index;
-      frame.mult.assign(value_count_, 0);
-      frame.child_equal.assign(value_count_, 0);
-      frame.child_contain.assign(value_count_, 0);
-      frame.desc_contain.assign(value_count_, 0);
-      frame.desc_mult.assign(value_count_, 0);
-    }
-    if (options_.use_eval_domain) {
-      frame.child_evals.assign(ring_.n(), 1);
-    } else {
-      frame.child_coeffs = ring_.One();
-    }
-    stack_.push_back(std::move(frame));
-    max_depth_ = std::max(max_depth_, stack_.size());
-    return Status::OK();
-  }
-
-  Status Close() {
-    Frame frame = std::move(stack_.back());
-    stack_.pop_back();
-    uint32_t post = ++post_counter_;
-
-    // f(node) = (x - map(node)) * prod(children)   (§3 step 2, reduced).
-    gf::RingElem node_poly;
-    if (options_.use_eval_domain) {
-      gf::EvalVector evals = std::move(frame.child_evals);
-      const gf::Field& field = ring_.field();
-      for (uint32_t i = 0; i < ring_.n(); ++i) {
-        evals[i] = field.Mul(
-            field.Sub(evaluator_.point(i), frame.tag_value), evals[i]);
-      }
-      node_poly = evaluator_.Inverse(evals);
-      if (!stack_.empty()) {
-        // Fold this node's evaluations into the parent's running product.
-        gf::EvalVector& parent = stack_.back().child_evals;
-        for (uint32_t i = 0; i < ring_.n(); ++i) {
-          parent[i] = field.Mul(parent[i], evals[i]);
-        }
-        stack_.back().has_children = true;
-      }
-    } else {
-      node_poly = frame.has_children
-                      ? ring_.MulXMinus(frame.child_coeffs, frame.tag_value)
-                      : ring_.XMinus(frame.tag_value);
-      if (!stack_.empty()) {
-        stack_.back().child_coeffs =
-            ring_.Mul(stack_.back().child_coeffs, node_poly);
-        stack_.back().has_children = true;
-      }
-    }
-
-    // Aggregate columns (DESIGN.md §8): finalize this node's subtree
-    // histogram, derive the seven stored columns, and fold the node into
-    // its parent's child/descendant accumulators.
-    std::vector<agg::Word> agg_plain;
-    std::string verify_blob;
-    if (value_count_ > 0) {
-      const size_t T = value_count_;
-      frame.mult[frame.value_index] += 1;
-      agg_plain.assign(agg::WordsPerNode(T), 0);
-      auto col = [&](agg::Col c) {
-        return agg_plain.data() + agg::WordIndex(c, T, 0);
-      };
-      col(agg::Col::kEqualSelf)[frame.value_index] = 1;
-      for (size_t t = 0; t < T; ++t) {
-        col(agg::Col::kEqualChild)[t] = frame.child_equal[t];
-        col(agg::Col::kEqualDesc)[t] =
-            frame.mult[t] - (t == frame.value_index ? 1 : 0);
-        col(agg::Col::kContainSelf)[t] = frame.mult[t] > 0 ? 1 : 0;
-        col(agg::Col::kContainChild)[t] = frame.child_contain[t];
-        col(agg::Col::kContainDesc)[t] = frame.desc_contain[t];
-        col(agg::Col::kMultDesc)[t] = frame.desc_mult[t];
-      }
-      if (!stack_.empty()) {
-        Frame& parent = stack_.back();
-        parent.child_equal[frame.value_index] += 1;
-        for (size_t t = 0; t < T; ++t) {
-          agg::Word contains = frame.mult[t] > 0 ? 1 : 0;
-          parent.child_contain[t] += contains;
-          parent.desc_contain[t] += frame.desc_contain[t] + contains;
-          parent.desc_mult[t] += frame.desc_mult[t] + frame.mult[t];
-          parent.mult[t] += frame.mult[t];
-        }
-      }
-      // Verification track (DESIGN.md §9), built from the still-plain
-      // words: per word w the wide share ŵ (zero-extended) and the keyed
-      // checksum α_τ·ŵ mod 2^64 (τ = w mod T in the column-major layout),
-      // each masked only by the client's bit-61 stream — the track is
-      // independent of the server count and lives on slice 0 alone.
-      if (!alpha_.empty()) {
-        std::vector<uint64_t> wide(agg_plain.size());
-        std::vector<uint64_t> proof(agg_plain.size());
-        prg::Prg::Stream vmask = prg_.StreamForVerifyColumns(frame.pre);
-        for (size_t w = 0; w < agg_plain.size(); ++w) {
-          uint64_t plain = agg_plain[w];
-          wide[w] = plain - vmask.NextUint64();
-          proof[w] = alpha_[w % T] * plain - vmask.NextUint64();
-        }
-        verify_blob = agg::SerializeVerify(wide, proof);
-        verify_bytes_ += verify_blob.size();
-      }
-      // Mask with the client's PRG stream: every stored word carries an
-      // independent uniform pad, so any subset of server slices is jointly
-      // uniform — the aggregate analog of the polynomial split.
-      prg::Prg::Stream mask = prg_.StreamForAggColumns(frame.pre, 0);
-      for (agg::Word& word : agg_plain) word -= mask.NextUint32();
-    }
-
-    // Split: the client share is the PRG stream at this node's pre
-    // position; server slices i >= 1 are further PRG streams (one slice
-    // materialized at a time); slice 0 is the remainder, so
-    // f = c + s_0 + ... + s_{m-1} (DESIGN.md §5). Only server slices are
-    // stored; structure columns are replicated to every store. The
-    // aggregate columns split the same way in Z_{2^32}.
-    gf::RingElem remainder =
-        ring_.Sub(node_poly, prg_.ClientShare(ring_, frame.pre));
-
-    storage::NodeRow row;
-    row.pre = frame.pre;
-    row.post = post;
-    row.parent = frame.parent;
-    for (size_t i = stores_.size(); i-- > 1;) {
-      gf::RingElem slice = prg_.ServerSliceShare(
-          ring_, frame.pre, static_cast<uint32_t>(i));
-      row.share = ring_.Serialize(slice);
-      share_bytes_ += row.share.size();
-      if (value_count_ > 0) {
-        prg::Prg::Stream slice_mask =
-            prg_.StreamForAggColumns(frame.pre, static_cast<uint32_t>(i));
-        std::vector<agg::Word> slice_words(agg_plain.size());
-        for (size_t w = 0; w < slice_words.size(); ++w) {
-          slice_words[w] = slice_mask.NextUint32();
-          agg_plain[w] -= slice_words[w];
-        }
-        row.agg = agg::SerializeWords(slice_words);
-        agg_bytes_ += row.agg.size();
-      }
-      SSDB_RETURN_IF_ERROR(stores_[i]->Insert(row));
-      remainder = ring_.Sub(remainder, slice);
-    }
-    row.share = ring_.Serialize(remainder);
-    if (value_count_ > 0) {
-      row.agg = agg::SerializeWords(agg_plain);
-      agg_bytes_ += row.agg.size();
-      // The verification track rides only on the primary slice's row; the
-      // slices above answered with row.verify still empty.
-      row.verify = std::move(verify_blob);
-    }
-    if (options_.seal_content) {
-      row.sealed = prg_.SealPayload(
-          frame.pre, frame.tag_name + "\n" + frame.direct_text);
-    }
-    share_bytes_ += row.share.size();
-    ++node_count_;
-    return stores_[0]->Insert(row);
-  }
-
-  // Emits a trie as nested virtual elements (depth-first).
-  Status EmitTrie(const trie::TrieNode& node) {
-    for (const auto& [key, child] : node.children) {
-      (void)key;
-      SSDB_RETURN_IF_ERROR(Open(child->label));
-      SSDB_RETURN_IF_ERROR(EmitTrie(*child));
-      SSDB_RETURN_IF_ERROR(Close());
-    }
-    return Status::OK();
-  }
-
-  const gf::Ring& ring_;
-  const gf::Evaluator& evaluator_;
-  const mapping::TagMap& map_;
-  const prg::Prg& prg_;
-  const std::vector<storage::NodeStore*>& stores_;
-  EncodeOptions options_;
-  // Mapped-value count T when aggregate columns are on, 0 when off.
-  size_t value_count_ = 0;
-  // Verification keys α_τ, one per mapped value; empty when the
-  // verification track is off (DESIGN.md §9).
-  std::vector<uint64_t> alpha_;
-
-  std::vector<Frame> stack_;
-  uint32_t pre_counter_ = 0;
-  uint32_t post_counter_ = 0;
-  uint64_t node_count_ = 0;
-  uint64_t share_bytes_ = 0;
-  uint64_t agg_bytes_ = 0;
-  uint64_t verify_bytes_ = 0;
-  uint64_t max_depth_ = 0;
-  EncodeResult result_;
-};
-
-}  // namespace
 
 Encoder::Encoder(gf::Ring ring, const mapping::TagMap& map, prg::Prg prg,
                  storage::NodeStore* store, const EncodeOptions& options)
@@ -304,7 +17,6 @@ Encoder::Encoder(gf::Ring ring, const mapping::TagMap& map, prg::Prg prg,
                  std::vector<storage::NodeStore*> stores,
                  const EncodeOptions& options)
     : ring_(ring),
-      evaluator_(ring),
       map_(map),
       prg_(std::move(prg)),
       stores_(std::move(stores)),
@@ -320,13 +32,40 @@ StatusOr<EncodeResult> Encoder::EncodeString(std::string_view xml) {
       return Status::FailedPrecondition("target store is not empty");
     }
   }
-  EncodingHandler handler(ring_, evaluator_, map_, prg_, stores_, options_);
+  const bool columns = options_.aggregate_columns;
+  NodeSplitter splitter(ring_, prg_, stores_.size(),
+                        columns && options_.verify_aggregate
+                            ? VerifyKeys(prg_, map_.size())
+                            : std::vector<uint64_t>());
+  EncodeResult result;
+  // Each closed node is split at its own pre position (stored nonce 0) and
+  // rows[i] lands in stores_[i].
+  auto store_node = [&](EncodedNode&& node) -> Status {
+    std::string sealed;
+    if (options_.seal_content) sealed = node.tag_name + "\n" + node.text;
+    std::vector<storage::NodeRow> rows = splitter.Split(
+        node.pre, node.post, node.parent, /*stored_nonce=*/0, node.pre,
+        node.poly, columns ? StoredColumns(node.state)
+                           : std::vector<agg::Word>(),
+        options_.seal_content ? &sealed : nullptr);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      result.share_bytes += rows[i].share.size();
+      result.agg_bytes += rows[i].agg.size();
+      result.verify_bytes += rows[i].verify.size();
+      SSDB_RETURN_IF_ERROR(stores_[i]->Insert(rows[i]));
+    }
+    return Status::OK();
+  };
+  NodeEncoder handler(ring_, map_,
+                      {columns, options_.seal_content, options_.trie},
+                      store_node);
   xml::SaxParser parser;
   SSDB_RETURN_IF_ERROR(parser.Parse(xml, &handler));
   for (storage::NodeStore* store : stores_) {
     SSDB_RETURN_IF_ERROR(store->Flush());
   }
-  EncodeResult result = handler.TakeResult();
+  result.node_count = handler.node_count();
+  result.max_depth = handler.max_depth();
   result.input_bytes = xml.size();
   return result;
 }

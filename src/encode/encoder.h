@@ -5,12 +5,10 @@
 /// one server share per configured server, and inserts rows
 /// (pre, post, parent, share) into each server's NodeStore.
 ///
-/// Two encoding paths (ablation A1 in DESIGN.md §4):
-///  * evaluation domain (default): a node's evaluation vector is
-///    (g^i - map(tag)) * prod(children), O(q) per node, with one inverse
-///    DFT per node for coefficient storage;
-///  * coefficient domain: ring convolution per child, O(q^2) — the naive
-///    reading of the paper.
+/// The per-node work is the shared node encoder (node_encoder.h), the same
+/// code the mutation planner runs: a coefficient-domain recurrence
+/// f = (x - t)·Π children (one O(n) shift-multiply per node, one sparse
+/// ring product per child) and the one node-split kernel.
 ///
 /// Multi-server fan-out (DESIGN.md §5): with m stores, slice i >= 1 of each
 /// node polynomial is PRG-derived (never more than one slice materialized at
@@ -26,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "gf/dft.h"
 #include "gf/ring.h"
 #include "mapping/tag_map.h"
 #include "prg/prg.h"
@@ -39,9 +36,6 @@ struct EncodeOptions {
   // Apply the §4 trie transformation to text content first (data becomes
   // searchable). Off: text nodes are ignored, as in the paper's §3 scheme.
   bool trie = false;
-  bool trie_compressed = true;
-  // false selects the coefficient-domain path (ablation).
-  bool use_eval_domain = true;
   // §4 extension: store "tag-name \n direct-text", stream-encrypted under
   // the seed, alongside each node's share so matched nodes can be revealed
   // client-side. The server sees only ciphertext.
@@ -90,7 +84,6 @@ class Encoder {
 
  private:
   gf::Ring ring_;
-  gf::Evaluator evaluator_;
   const mapping::TagMap& map_;
   prg::Prg prg_;
   std::vector<storage::NodeStore*> stores_;  // stores_[i] holds slice i

@@ -5,196 +5,11 @@
 #include <utility>
 
 #include "agg/columns.h"
+#include "encode/node_encoder.h"
 #include "xml/sax.h"
 
 namespace ssdb::encode {
 namespace {
-
-// The five bottom-up accumulators of encode/encoder.cc's Close(), recovered
-// from a node's stored plain columns. Every stored column is a projection of
-// this state plus the node's own tag, so a mutation can edit the state and
-// re-derive the columns with the encoder's exact formulas.
-struct ColState {
-  uint32_t own_index = 0;  // rank of the node's tag among mapped values
-  std::vector<agg::Word> mult;           // subtree tag histogram (incl. self)
-  std::vector<agg::Word> child_equal;    // per-tag direct-child count
-  std::vector<agg::Word> child_contain;  // children whose subtree contains τ
-  std::vector<agg::Word> desc_contain;   // descendants whose subtree contains τ
-  std::vector<agg::Word> desc_mult;      // Σ over descendants of their mult
-};
-
-ColState ZeroState(size_t value_count) {
-  ColState state;
-  state.mult.assign(value_count, 0);
-  state.child_equal.assign(value_count, 0);
-  state.child_contain.assign(value_count, 0);
-  state.desc_contain.assign(value_count, 0);
-  state.desc_mult.assign(value_count, 0);
-  return state;
-}
-
-// Folds a completed child into a parent's accumulators — the same arithmetic
-// as the encoder's parent fold-in, so a state built by AddChild matches what
-// a fresh encode of the mutated document would produce.
-void AddChild(ColState* parent, const ColState& child) {
-  parent->child_equal[child.own_index] += 1;
-  const size_t T = parent->mult.size();
-  for (size_t t = 0; t < T; ++t) {
-    agg::Word contains = child.mult[t] > 0 ? 1 : 0;
-    parent->child_contain[t] += contains;
-    parent->desc_contain[t] += child.desc_contain[t] + contains;
-    parent->desc_mult[t] += child.desc_mult[t] + child.mult[t];
-    parent->mult[t] += child.mult[t];
-  }
-}
-
-// Exact inverse of AddChild (counts are unsigned; the true values never go
-// negative because the child really is accounted in the parent).
-void RemoveChild(ColState* parent, const ColState& child) {
-  parent->child_equal[child.own_index] -= 1;
-  const size_t T = parent->mult.size();
-  for (size_t t = 0; t < T; ++t) {
-    agg::Word contains = child.mult[t] > 0 ? 1 : 0;
-    parent->child_contain[t] -= contains;
-    parent->desc_contain[t] -= child.desc_contain[t] + contains;
-    parent->desc_mult[t] -= child.desc_mult[t] + child.mult[t];
-    parent->mult[t] -= child.mult[t];
-  }
-}
-
-// Inverse of RecoverState: the seven stored columns the encoder derives in
-// Close(), from the accumulator state.
-std::vector<agg::Word> StoredColumns(const ColState& state) {
-  const size_t T = state.mult.size();
-  std::vector<agg::Word> out(agg::WordsPerNode(T), 0);
-  auto col = [&](agg::Col c) { return out.data() + agg::WordIndex(c, T, 0); };
-  col(agg::Col::kEqualSelf)[state.own_index] = 1;
-  for (size_t t = 0; t < T; ++t) {
-    col(agg::Col::kEqualChild)[t] = state.child_equal[t];
-    col(agg::Col::kEqualDesc)[t] =
-        state.mult[t] - (t == state.own_index ? 1 : 0);
-    col(agg::Col::kContainSelf)[t] = state.mult[t] > 0 ? 1 : 0;
-    col(agg::Col::kContainChild)[t] = state.child_contain[t];
-    col(agg::Col::kContainDesc)[t] = state.desc_contain[t];
-    col(agg::Col::kMultDesc)[t] = state.desc_mult[t];
-  }
-  return out;
-}
-
-StatusOr<ColState> RecoverState(const std::vector<agg::Word>& plain) {
-  const size_t T = plain.size() / agg::kColCount;
-  ColState state = ZeroState(T);
-  size_t ones = 0;
-  for (size_t t = 0; t < T; ++t) {
-    agg::Word self = plain[agg::WordIndex(agg::Col::kEqualSelf, T, t)];
-    if (self == 1) {
-      state.own_index = static_cast<uint32_t>(t);
-      ++ones;
-    } else if (self != 0) {
-      ones = 2;  // force the corruption path
-      break;
-    }
-  }
-  if (ones != 1) {
-    return Status::Corruption(
-        "node aggregate columns are corrupt: EqualSelf is not one-hot");
-  }
-  for (size_t t = 0; t < T; ++t) {
-    state.mult[t] = plain[agg::WordIndex(agg::Col::kEqualDesc, T, t)] +
-                    plain[agg::WordIndex(agg::Col::kEqualSelf, T, t)];
-    state.child_equal[t] = plain[agg::WordIndex(agg::Col::kEqualChild, T, t)];
-    state.child_contain[t] =
-        plain[agg::WordIndex(agg::Col::kContainChild, T, t)];
-    state.desc_contain[t] = plain[agg::WordIndex(agg::Col::kContainDesc, T, t)];
-    state.desc_mult[t] = plain[agg::WordIndex(agg::Col::kMultDesc, T, t)];
-  }
-  return state;
-}
-
-// One node of a parsed INSERT fragment, fully encoded client-side: local
-// pre/post/parent numbering (1-based, 0 = fragment root's parent), the
-// accumulator state and stored columns, and the node polynomial.
-struct FragNode {
-  uint32_t local_pre = 0;
-  uint32_t local_post = 0;
-  uint32_t local_parent = 0;
-  gf::Elem tag_value = 0;
-  std::string tag_name;
-  std::string text;
-  ColState state;
-  std::vector<agg::Word> stored;
-  gf::RingElem poly;
-};
-
-// SAX handler running the encoder's Close() recurrences over an INSERT
-// fragment — coefficient-domain only (fragments are small).
-class FragmentBuilder : public xml::SaxHandler {
- public:
-  FragmentBuilder(const gf::Ring& ring, const mapping::TagMap& map)
-      : ring_(ring), map_(map) {}
-
-  Status StartElement(std::string_view name,
-                      const xml::AttributeList&) override {
-    StatusOr<gf::Elem> value = map_.Lookup(name);
-    if (!value.ok()) {
-      return Status::InvalidArgument("tag not covered by the map file: " +
-                                     std::string(name));
-    }
-    StatusOr<uint32_t> index = map_.ValueIndex(*value);
-    SSDB_RETURN_IF_ERROR(index.status());
-    Frame frame;
-    frame.node_index = nodes_.size();
-    nodes_.emplace_back();
-    FragNode& node = nodes_.back();
-    node.local_pre = static_cast<uint32_t>(nodes_.size());
-    node.local_parent =
-        stack_.empty() ? 0 : nodes_[stack_.back().node_index].local_pre;
-    node.tag_value = *value;
-    node.tag_name = std::string(name);
-    node.state = ZeroState(map_.size());
-    node.state.own_index = *index;
-    frame.child_coeffs = ring_.One();
-    stack_.push_back(std::move(frame));
-    return Status::OK();
-  }
-
-  Status EndElement(std::string_view) override {
-    Frame frame = std::move(stack_.back());
-    stack_.pop_back();
-    FragNode& node = nodes_[frame.node_index];
-    node.local_post = ++post_counter_;
-    node.text = std::move(frame.text);
-    node.state.mult[node.state.own_index] += 1;
-    node.stored = StoredColumns(node.state);
-    node.poly = ring_.MulXMinus(frame.child_coeffs, node.tag_value);
-    if (!stack_.empty()) {
-      Frame& parent = stack_.back();
-      AddChild(&nodes_[parent.node_index].state, node.state);
-      parent.child_coeffs = ring_.Mul(parent.child_coeffs, node.poly);
-    }
-    return Status::OK();
-  }
-
-  Status Characters(std::string_view text) override {
-    if (!stack_.empty()) stack_.back().text += std::string(text);
-    return Status::OK();
-  }
-
-  std::vector<FragNode> TakeNodes() { return std::move(nodes_); }
-
- private:
-  struct Frame {
-    size_t node_index = 0;
-    gf::RingElem child_coeffs;  // running product of completed children
-    std::string text;
-  };
-
-  const gf::Ring& ring_;
-  const mapping::TagMap& map_;
-  std::vector<FragNode> nodes_;  // pre-order; local_pre = index + 1
-  std::vector<Frame> stack_;
-  uint32_t post_counter_ = 0;
-};
 
 // One root-path node with everything the planner recovered about it.
 struct PathNode {
@@ -246,15 +61,17 @@ class Planner {
   StatusOr<std::vector<gf::RingElem>> FetchPolys(
       const std::vector<filter::NodeMeta>& metas);
   StatusOr<Siblings> LoadSiblings(const LoadedPath& path, size_t start_level);
+  gf::RingElem RebuildPoly(const LoadedPath& path, const Siblings& siblings,
+                           size_t level, const gf::RingElem* swap_in,
+                           gf::Elem tag) const;
   gf::Elem TagValueOf(const PathNode& node) const {
     return map_.values_in_order()[node.state.own_index];
   }
-  void SplitNode(uint32_t pre, uint32_t post, uint32_t parent, uint64_t nonce,
-                 const gf::RingElem& poly,
-                 const std::vector<agg::Word>& plain_cols,
-                 const std::string& sealed_plain, bool sealed_db,
-                 bool verify_db, std::vector<storage::MutationPlan>* plans,
-                 MutateStats* stats);
+  NodeSplitter Splitter(const TxnContext& ctx, const LoadedPath& path) const {
+    return NodeSplitter(ring_, prg_, ctx.m,
+                        path.verify_db ? VerifyKeys(prg_, map_.size())
+                                       : std::vector<uint64_t>());
+  }
   std::vector<storage::MutationPlan> MakePlans(const TxnContext& ctx,
                                                storage::MutationKind kind);
 
@@ -262,7 +79,6 @@ class Planner {
   const mapping::TagMap& map_;
   const prg::Prg& prg_;
   filter::ServerFilter* filter_;
-  std::vector<uint64_t> alpha_;  // §9 keys, filled lazily for verify DBs
 };
 
 StatusOr<Planner::TxnContext> Planner::BeginPlan() {
@@ -441,65 +257,49 @@ StatusOr<Siblings> Planner::LoadSiblings(const LoadedPath& path,
   return out;
 }
 
-void Planner::SplitNode(uint32_t pre, uint32_t post, uint32_t parent,
-                        uint64_t nonce, const gf::RingElem& poly,
-                        const std::vector<agg::Word>& plain_cols,
-                        const std::string& sealed_plain, bool sealed_db,
-                        bool verify_db,
-                        std::vector<storage::MutationPlan>* plans,
-                        MutateStats* stats) {
-  const size_t m = plans->size();
-  const size_t T = map_.size();
-  std::vector<agg::Word> agg_words = plain_cols;
-  std::string verify_blob;
-  if (verify_db) {
-    if (alpha_.empty()) {
-      alpha_.reserve(T);
-      for (uint32_t t = 0; t < T; ++t) alpha_.push_back(prg_.AggVerifyKey(t));
-    }
-    // Rebuild the §9 track from the still-plain words, interleaving mask
-    // draws exactly as the encoder does.
-    std::vector<uint64_t> wide(agg_words.size());
-    std::vector<uint64_t> proof(agg_words.size());
-    prg::Prg::Stream vmask = prg_.StreamForVerifyColumns(nonce);
-    for (size_t w = 0; w < agg_words.size(); ++w) {
-      uint64_t plain = agg_words[w];
-      wide[w] = plain - vmask.NextUint64();
-      proof[w] = alpha_[w % T] * plain - vmask.NextUint64();
-    }
-    verify_blob = agg::SerializeVerify(wide, proof);
+// Path level `level`'s polynomial after the mutation: the node recurrence
+// over its off-path children plus `swap_in` (the on-path child's new
+// polynomial or an inserted fragment's root; null when the child is gone).
+gf::RingElem Planner::RebuildPoly(const LoadedPath& path,
+                                  const Siblings& siblings, size_t level,
+                                  const gf::RingElem* swap_in,
+                                  gf::Elem tag) const {
+  NodePoly poly(ring_);
+  for (const filter::NodeMeta& child : siblings.children[level]) {
+    if (level >= 1 && child.pre == path.nodes[level - 1].meta.pre) continue;
+    poly.Fold(siblings.polys.at(child.pre));
   }
-  prg::Prg::Stream mask = prg_.StreamForAggColumns(nonce, 0);
-  for (agg::Word& word : agg_words) word -= mask.NextUint32();
-  gf::RingElem remainder = ring_.Sub(poly, prg_.ClientShare(ring_, nonce));
-  storage::NodeRow row;
-  row.pre = pre;
-  row.post = post;
-  row.parent = parent;
-  row.nonce = nonce;
-  for (size_t i = m; i-- > 1;) {
-    gf::RingElem slice =
-        prg_.ServerSliceShare(ring_, nonce, static_cast<uint32_t>(i));
-    row.share = ring_.Serialize(slice);
-    prg::Prg::Stream slice_mask =
-        prg_.StreamForAggColumns(nonce, static_cast<uint32_t>(i));
-    std::vector<agg::Word> slice_words(agg_words.size());
-    for (size_t w = 0; w < slice_words.size(); ++w) {
-      slice_words[w] = slice_mask.NextUint32();
-      agg_words[w] -= slice_words[w];
-    }
-    row.agg = agg::SerializeWords(slice_words);
-    stats->reshared_bytes += row.share.size() + row.agg.size();
-    (*plans)[i].upserts.push_back(row);
-    remainder = ring_.Sub(remainder, slice);
+  if (swap_in != nullptr) poly.Fold(*swap_in);
+  return poly.Close(tag);
+}
+
+// Appends one re-shared node's rows (rows[i] is slice i's) to the plans.
+void AppendRows(std::vector<storage::NodeRow> rows, PlannedMutation* out) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out->stats.reshared_bytes += rows[i].share.size() + rows[i].agg.size() +
+                                 rows[i].verify.size() +
+                                 rows[i].sealed.size();
+    out->plans[i].upserts.push_back(std::move(rows[i]));
   }
-  row.share = ring_.Serialize(remainder);
-  row.agg = agg::SerializeWords(agg_words);
-  row.verify = std::move(verify_blob);
-  if (sealed_db) row.sealed = prg_.SealPayload(nonce, sealed_plain);
-  stats->reshared_bytes += row.share.size() + row.agg.size() +
-                           row.verify.size() + row.sealed.size();
-  (*plans)[0].upserts.push_back(std::move(row));
+}
+
+// Size of the subtree rooted at path.nodes[0]. It is public — pre/post/depth
+// numbering gives post − pre + depth + 1 — and the recovered mult column
+// (read from slice 0's blob) must agree, or server 0 is lying and an erase
+// or shift range built from it would corrupt every honest slice.
+StatusOr<uint32_t> SubtreeSize(const LoadedPath& path) {
+  const filter::NodeMeta& meta = path.nodes[0].meta;
+  const int64_t size = static_cast<int64_t>(meta.post) - meta.pre +
+                       static_cast<int64_t>(path.nodes.size());
+  int64_t counted = 0;
+  for (agg::Word count : path.nodes[0].state.mult) counted += count;
+  if (counted != size) {
+    return Status::Corruption(
+        "server 0's aggregate columns count " + std::to_string(counted) +
+        " nodes under pre " + std::to_string(meta.pre) +
+        ", but the public pre/post numbering spans " + std::to_string(size));
+  }
+  return static_cast<uint32_t>(size);
 }
 
 StatusOr<PlannedMutation> Planner::Update(
@@ -558,14 +358,9 @@ StatusOr<PlannedMutation> Planner::Update(
     SSDB_ASSIGN_OR_RETURN(Siblings siblings, LoadSiblings(path, 0));
     stats.children_fetched = siblings.fetched;
     for (size_t j = 0; j < path.nodes.size(); ++j) {
-      gf::RingElem product = ring_.One();
-      for (const filter::NodeMeta& child : siblings.children[j]) {
-        if (j >= 1 && child.pre == path.nodes[j - 1].meta.pre) continue;
-        product = ring_.Mul(product, siblings.polys.at(child.pre));
-      }
-      if (j >= 1) product = ring_.Mul(product, new_polys[j - 1]);
-      gf::Elem tag = j == 0 ? new_value : TagValueOf(path.nodes[j]);
-      new_polys[j] = ring_.MulXMinus(product, tag);
+      new_polys[j] = RebuildPoly(
+          path, siblings, j, j >= 1 ? &new_polys[j - 1] : nullptr,
+          j == 0 ? new_value : TagValueOf(path.nodes[j]));
     }
   }
 
@@ -590,12 +385,14 @@ StatusOr<PlannedMutation> Planner::Update(
   out.txn = ctx.base_version + 1;
   out.plans = MakePlans(ctx, storage::MutationKind::kUpdate);
   out.stats = stats;
+  const NodeSplitter splitter = Splitter(ctx, path);
   for (size_t j = 0; j < path.nodes.size(); ++j) {
     SSDB_ASSIGN_OR_RETURN(uint64_t nonce, AllocNonce(&ctx));
     const filter::NodeMeta& meta = path.nodes[j].meta;
-    SplitNode(meta.pre, meta.post, meta.parent, nonce, new_polys[j],
-              StoredColumns(new_states[j]), new_plain[j], path.sealed_db,
-              path.verify_db, &out.plans, &out.stats);
+    AppendRows(splitter.Split(meta.pre, meta.post, meta.parent, nonce, nonce,
+                              new_polys[j], StoredColumns(new_states[j]),
+                              path.sealed_db ? &new_plain[j] : nullptr),
+               &out);
   }
   for (storage::MutationPlan& plan : out.plans) {
     plan.next_nonce = ctx.next_nonce;
@@ -612,9 +409,7 @@ StatusOr<PlannedMutation> Planner::Delete(uint32_t pre) {
     return Status::InvalidArgument("cannot delete the document root");
   }
   const PathNode& victim = path.nodes[0];
-  uint64_t subtree = 0;
-  for (agg::Word count : victim.state.mult) subtree += count;
-  const uint32_t S = static_cast<uint32_t>(subtree);
+  SSDB_ASSIGN_OR_RETURN(const uint32_t S, SubtreeSize(path));
 
   std::vector<ColState> new_states(path.nodes.size());
   new_states[1] = path.nodes[1].state;
@@ -628,26 +423,25 @@ StatusOr<PlannedMutation> Planner::Delete(uint32_t pre) {
   SSDB_ASSIGN_OR_RETURN(Siblings siblings, LoadSiblings(path, 1));
   std::vector<gf::RingElem> new_polys(path.nodes.size());
   for (size_t j = 1; j < path.nodes.size(); ++j) {
-    gf::RingElem product = ring_.One();
-    for (const filter::NodeMeta& child : siblings.children[j]) {
-      if (child.pre == path.nodes[j - 1].meta.pre) continue;
-      product = ring_.Mul(product, siblings.polys.at(child.pre));
-    }
     // At the parent the deleted child simply disappears from the product;
     // higher up the on-path child's new polynomial takes its place.
-    if (j >= 2) product = ring_.Mul(product, new_polys[j - 1]);
-    new_polys[j] = ring_.MulXMinus(product, TagValueOf(path.nodes[j]));
+    new_polys[j] =
+        RebuildPoly(path, siblings, j, j >= 2 ? &new_polys[j - 1] : nullptr,
+                    TagValueOf(path.nodes[j]));
   }
 
   PlannedMutation out;
   out.txn = ctx.base_version + 1;
   out.plans = MakePlans(ctx, storage::MutationKind::kDelete);
+  const NodeSplitter splitter = Splitter(ctx, path);
   for (size_t j = 1; j < path.nodes.size(); ++j) {
     SSDB_ASSIGN_OR_RETURN(uint64_t nonce, AllocNonce(&ctx));
     const filter::NodeMeta& meta = path.nodes[j].meta;
-    SplitNode(meta.pre, meta.post - S, meta.parent, nonce, new_polys[j],
-              StoredColumns(new_states[j]), path.nodes[j].sealed_plain,
-              path.sealed_db, path.verify_db, &out.plans, &out.stats);
+    AppendRows(
+        splitter.Split(meta.pre, meta.post - S, meta.parent, nonce, nonce,
+                       new_polys[j], StoredColumns(new_states[j]),
+                       path.sealed_db ? &path.nodes[j].sealed_plain : nullptr),
+        &out);
   }
   for (storage::MutationPlan& plan : out.plans) {
     plan.next_nonce = ctx.next_nonce;
@@ -666,20 +460,29 @@ StatusOr<PlannedMutation> Planner::Insert(uint32_t parent_pre,
                                           std::string_view fragment_xml) {
   SSDB_ASSIGN_OR_RETURN(TxnContext ctx, BeginPlan());
   SSDB_ASSIGN_OR_RETURN(LoadedPath path, LoadPath(parent_pre));
-  FragmentBuilder builder(ring_, map_);
+  // The fragment, encoded client-side with local numbering; fragment[k]
+  // is the node with local pre k + 1.
+  std::vector<EncodedNode> fragment;
+  NodeEncoder builder(ring_, map_,
+                      {/*columns=*/true, /*keep_text=*/path.sealed_db,
+                       /*trie=*/false},
+                      [&fragment](EncodedNode&& node) -> Status {
+                        if (fragment.size() < node.pre) {
+                          fragment.resize(node.pre);
+                        }
+                        fragment[node.pre - 1] = std::move(node);
+                        return Status::OK();
+                      });
   xml::SaxParser parser;
   SSDB_RETURN_IF_ERROR(parser.Parse(fragment_xml, &builder));
-  std::vector<FragNode> fragment = builder.TakeNodes();
   if (fragment.empty()) {
     return Status::InvalidArgument("insert fragment has no elements");
   }
   const uint32_t S = static_cast<uint32_t>(fragment.size());
   const PathNode& parent = path.nodes[0];
-  uint64_t parent_size = 0;
-  for (agg::Word count : parent.state.mult) parent_size += count;
+  SSDB_ASSIGN_OR_RETURN(const uint32_t parent_size, SubtreeSize(path));
   // Last pre of the parent's subtree: the fragment lands right after it.
-  const uint32_t pre_anchor =
-      parent.meta.pre + static_cast<uint32_t>(parent_size) - 1;
+  const uint32_t pre_anchor = parent.meta.pre + parent_size - 1;
   if (static_cast<uint64_t>(pre_anchor) + S > 0xffffffffull) {
     return Status::InvalidArgument("document is out of pre-number space");
   }
@@ -697,40 +500,38 @@ StatusOr<PlannedMutation> Planner::Insert(uint32_t parent_pre,
   SSDB_ASSIGN_OR_RETURN(Siblings siblings, LoadSiblings(path, 0));
   std::vector<gf::RingElem> new_polys(path.nodes.size());
   for (size_t j = 0; j < path.nodes.size(); ++j) {
-    gf::RingElem product = ring_.One();
-    for (const filter::NodeMeta& child : siblings.children[j]) {
-      if (j >= 1 && child.pre == path.nodes[j - 1].meta.pre) continue;
-      product = ring_.Mul(product, siblings.polys.at(child.pre));
-    }
     // The parent keeps all of its old children and gains the fragment root;
     // higher levels swap in the on-path child's new polynomial.
-    product = ring_.Mul(product,
-                        j == 0 ? fragment[0].poly : new_polys[j - 1]);
-    new_polys[j] = ring_.MulXMinus(product, TagValueOf(path.nodes[j]));
+    new_polys[j] = RebuildPoly(path, siblings, j,
+                               j == 0 ? &fragment[0].poly : &new_polys[j - 1],
+                               TagValueOf(path.nodes[j]));
   }
 
   PlannedMutation out;
   out.txn = ctx.base_version + 1;
   out.plans = MakePlans(ctx, storage::MutationKind::kInsert);
-  for (const FragNode& node : fragment) {
+  const NodeSplitter splitter = Splitter(ctx, path);
+  for (const EncodedNode& node : fragment) {
     SSDB_ASSIGN_OR_RETURN(uint64_t nonce, AllocNonce(&ctx));
-    uint32_t node_pre = pre_anchor + node.local_pre;
-    uint32_t node_post = parent.meta.post + node.local_post - 1;
-    uint32_t node_parent = node.local_parent == 0
-                               ? parent.meta.pre
-                               : pre_anchor + node.local_parent;
+    uint32_t node_pre = pre_anchor + node.pre;
+    uint32_t node_post = parent.meta.post + node.post - 1;
+    uint32_t node_parent =
+        node.parent == 0 ? parent.meta.pre : pre_anchor + node.parent;
     std::string sealed_plain;
     if (path.sealed_db) sealed_plain = node.tag_name + "\n" + node.text;
-    SplitNode(node_pre, node_post, node_parent, nonce, node.poly, node.stored,
-              sealed_plain, path.sealed_db, path.verify_db, &out.plans,
-              &out.stats);
+    AppendRows(splitter.Split(node_pre, node_post, node_parent, nonce, nonce,
+                              node.poly, StoredColumns(node.state),
+                              path.sealed_db ? &sealed_plain : nullptr),
+               &out);
   }
   for (size_t j = 0; j < path.nodes.size(); ++j) {
     SSDB_ASSIGN_OR_RETURN(uint64_t nonce, AllocNonce(&ctx));
     const filter::NodeMeta& meta = path.nodes[j].meta;
-    SplitNode(meta.pre, meta.post + S, meta.parent, nonce, new_polys[j],
-              StoredColumns(new_states[j]), path.nodes[j].sealed_plain,
-              path.sealed_db, path.verify_db, &out.plans, &out.stats);
+    AppendRows(
+        splitter.Split(meta.pre, meta.post + S, meta.parent, nonce, nonce,
+                       new_polys[j], StoredColumns(new_states[j]),
+                       path.sealed_db ? &path.nodes[j].sealed_plain : nullptr),
+        &out);
   }
   for (storage::MutationPlan& plan : out.plans) {
     plan.next_nonce = ctx.next_nonce;

@@ -3,10 +3,10 @@
 // Because x^(q-1) - 1 splits into distinct linear factors over F_q, the map
 //   coeffs  ->  (f(g^0), f(g^1), ..., f(g^(n-1)))       (g a generator)
 // is a ring isomorphism R_q -> F_q^n: multiplication becomes pointwise.
-// The encoder exploits this — a node's evaluation vector is
-// (v - map(node)) * prod(children vectors), O(n) per node — and converts to
-// coefficient form for storage with one inverse transform. bench_field
-// quantifies the win over coefficient-domain convolution.
+// The client divides in this domain to recover a node's own factor
+// (ClientFilter::RecoverFromPolys). The encoder does not use it: one
+// inverse transform per node costs more than the sparse coefficient-domain
+// products it would save (ablation A1, DESIGN.md §4; bench_field).
 
 #ifndef SSDB_GF_DFT_H_
 #define SSDB_GF_DFT_H_

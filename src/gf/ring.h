@@ -59,8 +59,8 @@ class Ring {
   RingElem Neg(const RingElem& a) const;
   void AddInto(RingElem* a, const RingElem& b) const;
 
-  // Full cyclic convolution, O(n^2). The DFT path in gf/dft.h is the fast
-  // alternative used by the encoder.
+  // Full cyclic convolution, O(n^2) worst case; zero coefficients of either
+  // operand are skipped, so products of sparse node polynomials are cheap.
   RingElem Mul(const RingElem& a, const RingElem& b) const;
 
   // (x - t) * f via the cyclic-shift identity, O(n).

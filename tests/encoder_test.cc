@@ -46,37 +46,6 @@ TEST(EncoderTest, PrePostParentAndSharesMatchDom) {
   CheckNode(*db, *db->doc.root());
 }
 
-TEST(EncoderTest, EvalAndCoefficientDomainsAgree) {
-  // Ablation A1: both encode paths must produce identical stores.
-  std::string xml = SmallAuctionXml();
-  auto field = *gf::Field::Make(83);
-  auto doc = *xml::ParseDocument(xml);
-  auto map = *mapping::TagMap::FromNames(
-      testing_helpers::CollectNames(doc), field);
-  gf::Ring ring(field);
-  prg::Seed seed = prg::Seed::FromUint64(3);
-
-  storage::MemoryNodeStore store_eval, store_coeff;
-  EncodeOptions eval_options;
-  eval_options.use_eval_domain = true;
-  EncodeOptions coeff_options;
-  coeff_options.use_eval_domain = false;
-
-  Encoder encoder_eval(ring, map, prg::Prg(seed), &store_eval, eval_options);
-  Encoder encoder_coeff(ring, map, prg::Prg(seed), &store_coeff,
-                        coeff_options);
-  auto r1 = encoder_eval.EncodeString(xml);
-  auto r2 = encoder_coeff.EncodeString(xml);
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  ASSERT_EQ(r1->node_count, r2->node_count);
-  for (uint32_t pre = 1; pre <= r1->node_count; ++pre) {
-    auto a = store_eval.GetByPre(pre);
-    auto b = store_coeff.GetByPre(pre);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "pre=" << pre;
-  }
-}
-
 // Byte pins: the digest of every row of every slice (and the byte counters)
 // of fixed-seed encodes. Any change to a share, mask, column or seal draw
 // moves one of these; a refactor of the encoder must leave all of them.

@@ -28,8 +28,11 @@
 
 #include "core/database.h"
 #include "core/options.h"
+#include "agg/columns.h"
 #include "encode/reshare.h"
+#include "fault_injection.h"
 #include "filter/client_filter.h"
+#include "filter/multi_server_filter.h"
 #include "filter/server_filter.h"
 #include "gf/field.h"
 #include "gf/ring.h"
@@ -354,6 +357,74 @@ TEST_F(MutateTest, PlansArePinned) {
             0x75998ab615219a23ull);
   EXPECT_EQ(pin(mutator.PlanInsert(9, "<title>t3</title>")),
             0xdcc0c0bd461c5fdaull);
+}
+
+// A primary that lies about one node's subtree size: it adds one to a
+// kEqualDesc word of that node's column blob and answers everything else
+// honestly.
+class SubtreeSizeLiar : public testing_helpers::TamperingServerFilter {
+ public:
+  SubtreeSizeLiar(const gf::Ring& ring, filter::ServerFilter* inner,
+                  uint32_t pre, size_t value_count)
+      : TamperingServerFilter(ring, inner, {}),
+        inner_(inner),
+        pre_(pre),
+        value_count_(value_count) {}
+
+  StatusOr<std::vector<storage::MutationState>> MutationStates() override {
+    return inner_->MutationStates();
+  }
+  StatusOr<std::vector<storage::ColumnBlobs>> FetchColumnsBatch(
+      const std::vector<uint32_t>& pres) override {
+    SSDB_ASSIGN_OR_RETURN(std::vector<storage::ColumnBlobs> cols,
+                          inner_->FetchColumnsBatch(pres));
+    for (size_t i = 0; i < pres.size(); ++i) {
+      if (pres[i] != pre_) continue;
+      const size_t w = agg::WordIndex(agg::Col::kEqualDesc, value_count_, 0);
+      const agg::Word lie = agg::BlobWord(cols[i].agg, w) + 1;
+      for (size_t b = 0; b < sizeof(agg::Word); ++b) {
+        cols[i].agg[w * sizeof(agg::Word) + b] =
+            static_cast<char>(lie >> (8 * b));
+      }
+    }
+    return cols;
+  }
+
+ private:
+  filter::ServerFilter* inner_;
+  uint32_t pre_;
+  size_t value_count_;
+};
+
+// The subtree size behind a DELETE's erase range and an INSERT's anchor is
+// public (post − pre + depth + 1). A primary whose column blob claims
+// another size is refused instead of steering every honest slice into
+// erasing or shifting the wrong rows.
+TEST_F(MutateTest, LyingPrimarySubtreeSizeIsRefused) {
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+  auto db = MakeDb(kLibXml, map, 2, /*seal=*/true);
+  SubtreeSizeLiar liar(db->ring(), db->slice_filter(0), /*pre=*/3,
+                       map.size());
+  filter::MultiServerFilter fanout(db->ring(), {&liar, db->slice_filter(1)});
+  encode::Mutator lied_to(db->ring(), map, prg::Prg(seed_), &fanout);
+
+  for (const Status& status :
+       {lied_to.PlanDelete(3).status(),
+        lied_to.PlanInsert(3, "<title>t9</title>").status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.message().find("server 0"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("pre 3"), std::string::npos)
+        << status.ToString();
+  }
+
+  // Control: the honest deployment erases exactly book(3) and its title.
+  encode::Mutator honest(db->ring(), map, prg::Prg(seed_),
+                         db->server_filter());
+  auto planned = honest.PlanDelete(3);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(planned->plans[0].erase_lo, 3u);
+  EXPECT_EQ(planned->plans[0].erase_hi, 4u);
 }
 
 // A chain of mutations: every commit bumps the version by one, and the end

@@ -3,7 +3,7 @@
 // a seed file, the original XML document".
 //
 //   ssdb_encode --map map.properties --seed seed.key --xml doc.xml
-//               --out db.ssdb [--p 83] [--e 1] [--trie] [--coeff-domain]
+//               --out db.ssdb [--p 83] [--e 1] [--trie]
 //               [--servers m] [--no-agg] [--verify-agg]
 //
 // --verify-agg additionally stores the aggregate verification track
@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
   const uint32_t* servers =
       flags.Uint("servers", 1, "split the share across m slice files");
   const bool* trie = flags.Bool("trie", "trie-encode tag values");
-  const bool* coeff_domain =
-      flags.Bool("coeff-domain", "store coefficient- instead of point-domain");
   const bool* no_agg = flags.Bool(
       "no-agg", "drop the aggregate columns (DESIGN.md §8; saves 28·|map| "
                 "bytes per node per slice in the side column store — but "
@@ -82,7 +80,6 @@ int main(int argc, char** argv) {
   options.backend = core::Backend::kDisk;
   options.disk_path = *out_path;
   options.encode.trie = *trie;
-  options.encode.use_eval_domain = !*coeff_domain;
   options.encode.aggregate_columns = !*no_agg;
   options.encode.verify_aggregate = *verify_agg;
   options.servers = *servers;
