@@ -83,6 +83,27 @@ void BM_RingEvalPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_RingEvalPacked)->Arg(29)->Arg(83)->Arg(257);
 
+void BM_RingEvalGrid(benchmark::State& state) {
+  // The server's grid read (DESIGN.md §6): one stored share unpacked once
+  // and evaluated at the k = 5 points of a strict-equality grid, against
+  // tables built once per request. Compare with 5 × BM_RingEvalPacked.
+  auto field = *gf::Field::Make(static_cast<uint32_t>(state.range(0)));
+  gf::Ring ring(field);
+  Random rng(2);
+  std::string packed = ring.Serialize(RandomElem(ring, &rng));
+  std::vector<gf::PowerTable> tables;
+  for (gf::Elem t : {3, 5, 7, 11, 13}) tables.push_back(ring.Powers(t));
+  gf::RingElem unpacked;
+  std::vector<gf::Elem> out(tables.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ring.EvalAtPoints(tables, packed, &unpacked, out.data()));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RingEvalGrid)->Arg(83);
+
 void BM_RingSerializeRoundTrip(benchmark::State& state) {
   // Packs and unpacks one share: the codec work a share fetch repeats per
   // share on each side of the wire.

@@ -55,7 +55,9 @@ class Planner {
 
   StatusOr<TxnContext> BeginPlan();
   StatusOr<uint64_t> AllocNonce(TxnContext* ctx);
-  StatusOr<LoadedPath> LoadPath(uint32_t pre);
+  // The root path of `pre` with its column state, unmasked with the
+  // slice count `m` that BeginPlan read.
+  StatusOr<LoadedPath> LoadPath(uint32_t pre, size_t m);
   StatusOr<std::vector<agg::Word>> PlainColumns(const std::string& blob,
                                                 uint64_t nonce, size_t m);
   StatusOr<std::vector<gf::RingElem>> FetchPolys(
@@ -146,10 +148,7 @@ StatusOr<std::vector<agg::Word>> Planner::PlainColumns(const std::string& blob,
   return words;
 }
 
-StatusOr<LoadedPath> Planner::LoadPath(uint32_t pre) {
-  SSDB_ASSIGN_OR_RETURN(std::vector<storage::MutationState> states,
-                        filter_->MutationStates());
-  const size_t m = states.size();
+StatusOr<LoadedPath> Planner::LoadPath(uint32_t pre, size_t m) {
   std::vector<filter::NodeMeta> metas;
   SSDB_ASSIGN_OR_RETURN(filter::NodeMeta meta, filter_->GetNode(pre));
   metas.push_back(meta);
@@ -309,7 +308,7 @@ StatusOr<PlannedMutation> Planner::Update(
     return Status::InvalidArgument("update changes neither tag nor text");
   }
   SSDB_ASSIGN_OR_RETURN(TxnContext ctx, BeginPlan());
-  SSDB_ASSIGN_OR_RETURN(LoadedPath path, LoadPath(pre));
+  SSDB_ASSIGN_OR_RETURN(LoadedPath path, LoadPath(pre, ctx.m));
   if (new_text.has_value() && !path.sealed_db) {
     return Status::FailedPrecondition(
         "database was encoded without sealed content; there is no text to "
@@ -404,7 +403,7 @@ StatusOr<PlannedMutation> Planner::Update(
 
 StatusOr<PlannedMutation> Planner::Delete(uint32_t pre) {
   SSDB_ASSIGN_OR_RETURN(TxnContext ctx, BeginPlan());
-  SSDB_ASSIGN_OR_RETURN(LoadedPath path, LoadPath(pre));
+  SSDB_ASSIGN_OR_RETURN(LoadedPath path, LoadPath(pre, ctx.m));
   if (path.nodes[0].meta.parent == 0) {
     return Status::InvalidArgument("cannot delete the document root");
   }
@@ -459,7 +458,7 @@ StatusOr<PlannedMutation> Planner::Delete(uint32_t pre) {
 StatusOr<PlannedMutation> Planner::Insert(uint32_t parent_pre,
                                           std::string_view fragment_xml) {
   SSDB_ASSIGN_OR_RETURN(TxnContext ctx, BeginPlan());
-  SSDB_ASSIGN_OR_RETURN(LoadedPath path, LoadPath(parent_pre));
+  SSDB_ASSIGN_OR_RETURN(LoadedPath path, LoadPath(parent_pre, ctx.m));
   // The fragment, encoded client-side with local numbering; fragment[k]
   // is the node with local pre k + 1.
   std::vector<EncodedNode> fragment;

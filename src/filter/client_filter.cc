@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -84,6 +85,60 @@ std::vector<agg::Word> AggMaskTotals(
     totals[wanted[j].second] += static_cast<agg::Word>(sums[j]);
   }
   return totals;
+}
+
+// The distinct nodes of one share exchange, each once in first-seen order,
+// with the PRG keys of their client shares (DESIGN.md §12).
+struct NodeSet {
+  std::vector<uint32_t> pres;
+  std::vector<uint64_t> nonces;
+  std::unordered_map<uint32_t, size_t> index;  // pre -> position
+
+  void Add(const NodeMeta& node) {
+    if (index.emplace(node.pre, pres.size()).second) {
+      pres.push_back(node.pre);
+      nonces.push_back(node.ShareNonce());
+    }
+  }
+};
+
+// The candidates nodes[i], i in `which`, and their children: overlapping
+// candidates share one entry.
+NodeSet CandidatesAndChildren(
+    const std::vector<NodeMeta>& nodes,
+    const std::vector<std::vector<NodeMeta>>& child_lists,
+    const std::vector<size_t>& which) {
+  NodeSet set;
+  for (size_t i : which) {
+    set.Add(nodes[i]);
+    for (const NodeMeta& child : child_lists[i]) set.Add(child);
+  }
+  return set;
+}
+
+// The equality test's division (DESIGN.md §3), over a node's polynomial
+// node[j] and its children's product prod[j] at points[j]. The node's own
+// factor is t = v - node(v)/prod(v) at the first point v where the product
+// is non-zero, and node(w) = (w - t) * prod(w) must hold at every point.
+// The quotient ring has zero divisors, so division happens pointwise, in
+// the evaluation domain. nullopt when the product vanishes at every point;
+// Corruption when a check fails, which means the shares are inconsistent.
+StatusOr<std::optional<gf::Elem>> DivideAtPoints(
+    const gf::Field& field, const std::vector<gf::Elem>& points,
+    const std::vector<gf::Elem>& node, const std::vector<gf::Elem>& prod) {
+  size_t good = 0;
+  while (good < points.size() && prod[good] == 0) ++good;
+  if (good == points.size()) return std::optional<gf::Elem>();
+  const gf::Elem t =
+      field.Sub(points[good], field.Div(node[good], prod[good]));
+  for (size_t j = 0; j < points.size(); ++j) {
+    if (node[j] != field.Mul(field.Sub(points[j], t), prod[j])) {
+      return Status::Corruption(
+          "equality test: node polynomial is not (x - t) * children "
+          "product; shares are inconsistent");
+    }
+  }
+  return std::optional<gf::Elem>(t);
 }
 
 }  // namespace
@@ -386,38 +441,28 @@ StatusOr<std::vector<uint8_t>> ClientFilter::ContainsAllValuesBatch(
     const std::vector<NodeMeta>& nodes, const std::vector<gf::Elem>& values) {
   std::vector<uint8_t> alive(nodes.size(), 1);
   if (nodes.empty() || values.empty()) return alive;
+  // A repeated value is one column of the grid.
+  std::vector<gf::Elem> points = values;
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  const size_t k = points.size();
   TripScope trips(this);
-  // One client-share regeneration per node, reused across all values; one
-  // server exchange per value, shrinking to the still-alive subset.
-  std::vector<gf::RingElem> client_shares;
-  client_shares.reserve(nodes.size());
+  stats_.containment_tests += nodes.size() * k;
+  stats_.evaluations += nodes.size() * k;
+  stats_.batched_evaluations += nodes.size() * k;
+  std::vector<uint32_t> pres;
+  std::vector<uint64_t> nonces;
+  pres.reserve(nodes.size());
+  nonces.reserve(nodes.size());
   for (const NodeMeta& node : nodes) {
-    client_shares.push_back(prg_.ClientShare(ring_, node.ShareNonce()));
+    pres.push_back(node.pre);
+    nonces.push_back(node.ShareNonce());
   }
-  for (gf::Elem value : values) {
-    std::vector<size_t> indices;
-    std::vector<uint32_t> pres;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      if (alive[i]) {
-        indices.push_back(i);
-        pres.push_back(nodes[i].pre);
-      }
-    }
-    if (pres.empty()) break;
-    stats_.containment_tests += pres.size();
-    stats_.evaluations += pres.size();
-    stats_.batched_evaluations += pres.size();
-    ++stats_.server_calls;
-    SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> server_values,
-                          server_->EvalAtBatch(pres, value));
-    if (server_values.size() != pres.size()) {
-      return Status::Internal("EvalAtBatch size mismatch");
-    }
-    const gf::PowerTable powers = ring_.Powers(value);
-    for (size_t j = 0; j < indices.size(); ++j) {
-      gf::Elem sum = ring_.field().Add(
-          server_values[j], ring_.EvalAt(powers, client_shares[indices[j]]));
-      if (sum != 0) alive[indices[j]] = 0;
+  SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> sums,
+                        GridValues(pres, nonces, points));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      if (sums[i * k + j] != 0) alive[i] = 0;
     }
   }
   return alive;
@@ -431,94 +476,145 @@ StatusOr<bool> ClientFilter::ContainsValue(const NodeMeta& node, gf::Elem t) {
 
 StatusOr<bool> ClientFilter::ContainsAllValues(
     const NodeMeta& node, const std::vector<gf::Elem>& values) {
-  if (values.empty()) return true;
-  if (values.size() == 1) return ContainsValue(node, values[0]);
-  TripScope trips(this);
-  // One share regeneration + one (batched) server exchange for all points.
-  stats_.containment_tests += values.size();
-  stats_.evaluations += values.size();
-  stats_.batched_evaluations += values.size();
-  ++stats_.server_calls;
-  gf::RingElem client_share = prg_.ClientShare(ring_, node.ShareNonce());
-  SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> server_values,
-                        server_->EvalPointsBatch(node.pre, values));
-  if (server_values.size() != values.size()) {
-    return Status::Internal("EvalPointsBatch size mismatch");
-  }
-  for (size_t i = 0; i < values.size(); ++i) {
-    gf::Elem sum = ring_.field().Add(server_values[i],
-                                     ring_.Eval(client_share, values[i]));
-    if (sum != 0) return false;
-  }
-  return true;
+  SSDB_ASSIGN_OR_RETURN(std::vector<uint8_t> out,
+                        ContainsAllValuesBatch({node}, values));
+  return out[0] != 0;
 }
 
-StatusOr<gf::RingElem> ClientFilter::ReconstructPoly(const NodeMeta& node) {
-  TripScope trips(this);
-  ++stats_.server_calls;
-  ++stats_.shares_fetched;
-  SSDB_ASSIGN_OR_RETURN(gf::RingElem server_share,
-                        server_->FetchShare(node.pre));
-  gf::RingElem client_share = prg_.ClientShare(ring_, node.ShareNonce());
-  return gf::Combine(ring_, client_share, server_share);
+std::vector<gf::Elem> ClientFilter::DrawGridPoints() {
+  const size_t k = std::min<size_t>(kGridPoints, ring_.n());
+  prg::Prg::Stream stream = prg_.StreamForGridPoints(grid_requests_++);
+  std::vector<gf::Elem> points;
+  points.reserve(k);
+  while (points.size() < k) {
+    gf::Elem v = stream.NextElem(ring_.field());
+    if (v != 0 && std::find(points.begin(), points.end(), v) == points.end()) {
+      points.push_back(v);
+    }
+  }
+  return points;
 }
 
-StatusOr<gf::Elem> ClientFilter::RecoverFromPolys(
-    const gf::RingElem& node_poly,
-    const std::vector<gf::RingElem>& child_polys) {
-  // The node's own factor is node(x) / prod(children). The quotient ring
-  // has zero divisors, so the division happens in the evaluation domain (a
-  // ring isomorphism; see DESIGN.md §3): find a point v where the child
-  // product is non-zero, then t = v - node(v)/prod(v).
-  //
-  // Cost: O(n * children) field operations — Horner at a handful of points
-  // rather than a full transform. The division is verified at
-  // kVerifyPoints further points (every point in full-verification mode);
-  // any mismatch means the stored shares are inconsistent.
-  constexpr uint32_t kVerifyPoints = 4;
+StatusOr<std::vector<gf::Elem>> ClientFilter::GridValues(
+    const std::vector<uint32_t>& pres, const std::vector<uint64_t>& nonces,
+    const std::vector<gf::Elem>& points) {
+  const size_t k = points.size();
+  ++stats_.server_calls;
+  SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values,
+                        server_->EvalGrid(pres, points));
+  if (values.size() != pres.size() * k) {
+    return Status::Internal("EvalGrid size mismatch");
+  }
+  std::vector<gf::PowerTable> tables;
+  tables.reserve(k);
+  for (gf::Elem v : points) tables.push_back(ring_.Powers(v));
+  for (size_t r = 0; r < pres.size(); ++r) {
+    const gf::RingElem share = prg_.ClientShare(ring_, nonces[r]);
+    for (size_t j = 0; j < k; ++j) {
+      values[r * k + j] = ring_.field().Add(values[r * k + j],
+                                            ring_.EvalAt(tables[j], share));
+    }
+  }
+  return values;
+}
+
+StatusOr<std::vector<size_t>> ClientFilter::RecoverAtGrid(
+    const std::vector<NodeMeta>& nodes,
+    const std::vector<std::vector<NodeMeta>>& child_lists,
+    const std::vector<size_t>& which, std::vector<gf::Elem>* out) {
+  const NodeSet set = CandidatesAndChildren(nodes, child_lists, which);
+  const std::vector<gf::Elem> points = DrawGridPoints();
+  const size_t k = points.size();
+  SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values,
+                        GridValues(set.pres, set.nonces, points));
+
   const gf::Field& field = ring_.field();
-
-  auto product_at = [&](gf::Elem v) {
-    gf::Elem prod = 1;
-    for (const gf::RingElem& child : child_polys) {
-      prod = field.Mul(prod, ring_.Eval(child, v));
-      if (prod == 0) break;
+  std::vector<size_t> vanished;
+  std::vector<gf::Elem> node(k);
+  std::vector<gf::Elem> prod(k);
+  for (size_t i : which) {
+    const size_t row = set.index.at(nodes[i].pre);
+    std::copy_n(values.begin() + row * k, k, node.begin());
+    std::fill(prod.begin(), prod.end(), 1);
+    for (const NodeMeta& child : child_lists[i]) {
+      const size_t c = set.index.at(child.pre);
+      for (size_t j = 0; j < k; ++j) {
+        prod[j] = field.Mul(prod[j], values[c * k + j]);
+      }
     }
-    return prod;
-  };
-
-  // Find a point where the child product is non-zero. One always exists
-  // when the tag map leaves a spare non-zero value (mapping::TagMap
-  // enforces this).
-  gf::Elem t = 0;
-  uint32_t good = ring_.n();
-  for (uint32_t i = 0; i < ring_.n(); ++i) {
-    gf::Elem v = evaluator_.point(i);
-    gf::Elem prod = product_at(v);
-    if (prod == 0) continue;
-    good = i;
-    t = field.Sub(v, field.Div(ring_.Eval(node_poly, v), prod));
-    break;
-  }
-  if (good == ring_.n()) {
-    return Status::FailedPrecondition(
-        "equality test: child product vanishes at every point (tag map has "
-        "no spare value?)");
-  }
-
-  // Verify node(x) == (x - t) * prod(children) at further points.
-  uint32_t checks = full_verification_ ? ring_.n() : kVerifyPoints;
-  for (uint32_t j = 1; j <= checks && j < ring_.n(); ++j) {
-    gf::Elem w = evaluator_.point((good + j) % ring_.n());
-    gf::Elem lhs = ring_.Eval(node_poly, w);
-    gf::Elem rhs = field.Mul(field.Sub(w, t), product_at(w));
-    if (lhs != rhs) {
-      return Status::Corruption(
-          "equality test: node polynomial is not (x - t) * children "
-          "product; shares are inconsistent");
+    SSDB_ASSIGN_OR_RETURN(std::optional<gf::Elem> t,
+                          DivideAtPoints(field, points, node, prod));
+    if (t.has_value()) {
+      (*out)[i] = *t;
+    } else {
+      vanished.push_back(i);
     }
   }
-  return t;
+  return vanished;
+}
+
+Status ClientFilter::RecoverFromShares(
+    const std::vector<NodeMeta>& nodes,
+    const std::vector<std::vector<NodeMeta>>& child_lists,
+    const std::vector<size_t>& which, std::vector<gf::Elem>* out) {
+  const NodeSet set = CandidatesAndChildren(nodes, child_lists, which);
+  ++stats_.server_calls;
+  stats_.shares_fetched += set.pres.size();
+  SSDB_ASSIGN_OR_RETURN(std::vector<gf::RingElem> server_shares,
+                        server_->FetchShareBatch(set.pres));
+  if (server_shares.size() != set.pres.size()) {
+    return Status::Internal("FetchShareBatch size mismatch");
+  }
+  std::vector<gf::RingElem> polys;
+  polys.reserve(set.pres.size());
+  for (size_t r = 0; r < set.pres.size(); ++r) {
+    gf::RingElem client_share = prg_.ClientShare(ring_, set.nonces[r]);
+    polys.push_back(gf::Combine(ring_, client_share, server_shares[r]));
+  }
+
+  const gf::Field& field = ring_.field();
+  const uint32_t n = ring_.n();
+  for (size_t i : which) {
+    const gf::RingElem& node_poly = polys[set.index.at(nodes[i].pre)];
+    auto product_at = [&](gf::Elem v) {
+      gf::Elem prod = 1;
+      for (const NodeMeta& child : child_lists[i]) {
+        prod = field.Mul(prod, ring_.Eval(polys[set.index.at(child.pre)], v));
+        if (prod == 0) break;
+      }
+      return prod;
+    };
+    // Every point in full-verification mode; otherwise the first point
+    // where the child product is non-zero and the kVerifyPoints after it.
+    // The tag map's spare value (DESIGN.md §2) is always such a point.
+    std::vector<gf::Elem> points;
+    if (full_verification_) {
+      points = evaluator_.points();
+    } else {
+      for (uint32_t first = 0; first < n && points.empty(); ++first) {
+        if (product_at(evaluator_.point(first)) == 0) continue;
+        for (uint32_t j = 0; j <= kVerifyPoints && j < n; ++j) {
+          points.push_back(evaluator_.point((first + j) % n));
+        }
+      }
+    }
+    std::vector<gf::Elem> node_values;
+    std::vector<gf::Elem> prod_values;
+    for (gf::Elem v : points) {
+      node_values.push_back(ring_.Eval(node_poly, v));
+      prod_values.push_back(product_at(v));
+    }
+    SSDB_ASSIGN_OR_RETURN(
+        std::optional<gf::Elem> t,
+        DivideAtPoints(field, points, node_values, prod_values));
+    if (!t.has_value()) {
+      return Status::FailedPrecondition(
+          "equality test: child product vanishes at every point (tag map "
+          "has no spare value?)");
+    }
+    (*out)[i] = *t;
+  }
+  return Status::OK();
 }
 
 StatusOr<std::vector<gf::Elem>> ClientFilter::RecoverOwnValueBatch(
@@ -538,54 +634,29 @@ StatusOr<std::vector<gf::Elem>> ClientFilter::RecoverOwnValueBatch(
     return Status::Internal("ChildrenBatch size mismatch");
   }
 
-  // Exchange 2: every needed share (node + children), fetched once even
-  // when candidates overlap.
-  std::vector<uint32_t> unique;
-  std::vector<uint64_t> unique_nonces;  // parallel; PRG keys (§12)
-  std::unordered_map<uint32_t, size_t> index;
-  auto intern = [&](const NodeMeta& node) {
-    auto [it, inserted] = index.emplace(node.pre, unique.size());
-    if (inserted) {
-      unique.push_back(node.pre);
-      unique_nonces.push_back(node.ShareNonce());
-    }
-    return it->second;
-  };
+  // Each candidate's path is fixed from public data before any reply is
+  // seen (DESIGN.md §3): whole vectors in full-verification mode and for
+  // the document root, whose children hold most tags; the grid otherwise.
+  std::vector<size_t> grid;
+  std::vector<size_t> whole;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    intern(nodes[i]);
-    for (const NodeMeta& child : child_lists[i]) intern(child);
+    stats_.evaluations += 1 + child_lists[i].size();
+    stats_.batched_evaluations += 1 + child_lists[i].size();
+    (full_verification_ || nodes[i].parent == 0 ? whole : grid).push_back(i);
   }
-  ++stats_.server_calls;
-  stats_.shares_fetched += unique.size();
-  SSDB_ASSIGN_OR_RETURN(std::vector<gf::RingElem> server_shares,
-                        server_->FetchShareBatch(unique));
-  if (server_shares.size() != unique.size()) {
-    return Status::Internal("FetchShareBatch size mismatch");
+  std::vector<gf::Elem> out(nodes.size(), 0);
+  // Exchange 2: the grid. A candidate whose child product vanished at
+  // every drawn point falls back to whole vectors, the one path a reply
+  // chooses.
+  if (!grid.empty()) {
+    SSDB_ASSIGN_OR_RETURN(std::vector<size_t> vanished,
+                          RecoverAtGrid(nodes, child_lists, grid, &out));
+    whole.insert(whole.end(), vanished.begin(), vanished.end());
   }
-
-  // Reconstruct each distinct polynomial once, then run the local
-  // evaluation-domain division per candidate.
-  std::vector<gf::RingElem> polys;
-  polys.reserve(unique.size());
-  for (size_t i = 0; i < unique.size(); ++i) {
-    gf::RingElem client_share = prg_.ClientShare(ring_, unique_nonces[i]);
-    polys.push_back(gf::Combine(ring_, client_share, server_shares[i]));
-  }
-
-  std::vector<gf::Elem> out;
-  out.reserve(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const gf::RingElem& node_poly = polys[index[nodes[i].pre]];
-    std::vector<gf::RingElem> child_polys;
-    child_polys.reserve(child_lists[i].size());
-    for (const NodeMeta& child : child_lists[i]) {
-      child_polys.push_back(polys[index[child.pre]]);
-    }
-    stats_.evaluations += 1 + child_polys.size();
-    stats_.batched_evaluations += 1 + child_polys.size();
-    SSDB_ASSIGN_OR_RETURN(gf::Elem t,
-                          RecoverFromPolys(node_poly, child_polys));
-    out.push_back(t);
+  // Exchange 3: whole vectors, one fetch for every candidate that needs
+  // them.
+  if (!whole.empty()) {
+    SSDB_RETURN_IF_ERROR(RecoverFromShares(nodes, child_lists, whole, &out));
   }
   return out;
 }

@@ -6,9 +6,10 @@
 /// Two matching rules (DESIGN.md §3):
 ///  * containment test — one joint evaluation at map(tag); zero sum means
 ///    the tag occurs somewhere in the node's subtree. Constant cost.
-///  * equality test    — reconstructs the node polynomial and all child
-///    polynomials, divides out the child product and checks the remaining
-///    monomial is (x - map(tag)). Cost grows with the number of children.
+///  * equality test    — evaluates the node polynomial and all child
+///    polynomials at a few points, divides out the child product and checks
+///    the remaining monomial is (x - map(tag)). Cost grows with the number
+///    of children.
 ///
 /// The batch entry points are the primary path (DESIGN.md §6): they
 /// regenerate the client shares for a whole candidate set and issue one
@@ -123,15 +124,20 @@ class ClientFilter {
   StatusOr<std::vector<uint8_t>> ContainsValueBatch(
       const std::vector<NodeMeta>& nodes, gf::Elem t);
   // out[i] != 0 iff nodes[i]'s subtree contains *all* of `values`. One
-  // server exchange per value (not per node), with nodes dropping out as
-  // soon as a value is missing.
+  // server exchange for the whole set: a grid of every node at every
+  // distinct value.
   StatusOr<std::vector<uint8_t>> ContainsAllValuesBatch(
       const std::vector<NodeMeta>& nodes, const std::vector<gf::Elem>& values);
   // out[i] != 0 iff nodes[i]'s own tag is exactly t (strict checking).
-  // Two server exchanges for the whole set (children + shares).
+  // See RecoverOwnValueBatch for the exchanges.
   StatusOr<std::vector<uint8_t>> EqualsValueBatch(
       const std::vector<NodeMeta>& nodes, gf::Elem t);
-  // Recovers each node's own mapped tag value (the equality test's core).
+  // Recovers each node's own mapped tag value (the equality test's core,
+  // DESIGN.md §3). Two server exchanges for the whole set: the children,
+  // then a grid of node and children at kGridPoints fresh random points.
+  // Whole vectors cost one more: they serve full-verification mode, the
+  // document root, and any node whose child product vanishes at every
+  // drawn point.
   StatusOr<std::vector<gf::Elem>> RecoverOwnValueBatch(
       const std::vector<NodeMeta>& nodes);
 
@@ -160,10 +166,17 @@ class ClientFilter {
   const gf::Ring& ring() const { return ring_; }
 
   // Integrity mode: verify the equality-test division at every point of the
-  // evaluation domain (O(n^2) per test) instead of at a handful of sampled
-  // points. Sampled verification already catches inconsistent shares with
-  // probability 1 - (1/q)^k; full verification is for tamper-evidence tests.
+  // evaluation domain (O(n^2) per test, from whole vectors) instead of at a
+  // handful of sampled points. Sampled verification already catches
+  // inconsistent shares with probability 1 - (1/q)^k; full verification is
+  // for tamper-evidence tests.
   void set_full_verification(bool on) { full_verification_ = on; }
+
+  // The equality test divides at one point and checks the division at
+  // kVerifyPoints more: a grid has kGridPoints distinct non-zero points
+  // (all n of them on a field with fewer).
+  static constexpr uint32_t kVerifyPoints = 4;
+  static constexpr uint32_t kGridPoints = 1 + kVerifyPoints;
 
  private:
   // Accumulates the server's round-trip delta over one logical call into
@@ -213,13 +226,28 @@ class ClientFilter {
   // regenerated from the PRG (keyed by the node's share nonce, DESIGN.md
   // §12), never stored.
   gf::Elem EvalClientShare(const NodeMeta& node, const gf::PowerTable& powers);
-  // Reconstructs the full polynomial of a node (client + server share).
-  StatusOr<gf::RingElem> ReconstructPoly(const NodeMeta& node);
-  // Extracts the node's own factor from its reconstructed polynomial and
-  // the reconstructed child polynomials (evaluation-domain division).
-  StatusOr<gf::Elem> RecoverFromPolys(
-      const gf::RingElem& node_poly,
-      const std::vector<gf::RingElem>& child_polys);
+  // The next grid's points: kGridPoints distinct non-zero elements from the
+  // grid-point stream of the next request number, so they depend on the
+  // seed and the request count only, never on the query.
+  std::vector<gf::Elem> DrawGridPoints();
+  // One grid exchange, with the client's shares added: out[r * k + j] is
+  // the polynomial of pres[r] (client share keyed by nonces[r]) at
+  // points[j], k = points.size().
+  StatusOr<std::vector<gf::Elem>> GridValues(
+      const std::vector<uint32_t>& pres, const std::vector<uint64_t>& nonces,
+      const std::vector<gf::Elem>& points);
+  // The equality test of nodes[i] for every i in `which`, into (*out)[i],
+  // given each candidate's children. RecoverAtGrid runs one grid exchange
+  // and returns the candidates whose child product vanished at every
+  // point; RecoverFromShares fetches whole vectors in one exchange.
+  StatusOr<std::vector<size_t>> RecoverAtGrid(
+      const std::vector<NodeMeta>& nodes,
+      const std::vector<std::vector<NodeMeta>>& child_lists,
+      const std::vector<size_t>& which, std::vector<gf::Elem>* out);
+  Status RecoverFromShares(
+      const std::vector<NodeMeta>& nodes,
+      const std::vector<std::vector<NodeMeta>>& child_lists,
+      const std::vector<size_t>& which, std::vector<gf::Elem>* out);
 
   gf::Ring ring_;
   gf::Evaluator evaluator_;
@@ -227,6 +255,7 @@ class ClientFilter {
   ServerFilter* server_;
   EvalStats stats_;
   bool full_verification_ = false;
+  uint64_t grid_requests_ = 0;  // grids drawn so far (DrawGridPoints)
 };
 
 }  // namespace ssdb::filter

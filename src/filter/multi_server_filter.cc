@@ -419,6 +419,25 @@ StatusOr<std::vector<gf::Elem>> MultiServerFilter::EvalPointsBatch(
   return sum;
 }
 
+StatusOr<std::vector<gf::Elem>> MultiServerFilter::EvalGrid(
+    const std::vector<uint32_t>& pres, const std::vector<gf::Elem>& points) {
+  std::vector<std::vector<gf::Elem>> partial(backends_.size());
+  SSDB_RETURN_IF_ERROR(FanOut([&](size_t i) -> Status {
+    SSDB_ASSIGN_OR_RETURN(partial[i], backends_[i]->EvalGrid(pres, points));
+    if (partial[i].size() != pres.size() * points.size()) {
+      return Status::Internal("EvalGrid slice size mismatch");
+    }
+    return Status::OK();
+  }));
+  std::vector<gf::Elem> sum = std::move(partial[0]);
+  for (size_t i = 1; i < partial.size(); ++i) {
+    for (size_t j = 0; j < sum.size(); ++j) {
+      sum[j] = ring_.field().Add(sum[j], partial[i][j]);
+    }
+  }
+  return sum;
+}
+
 StatusOr<gf::RingElem> MultiServerFilter::FetchShare(uint32_t pre) {
   std::vector<gf::RingElem> partial(backends_.size());
   SSDB_RETURN_IF_ERROR(FanOut([&](size_t i) -> Status {

@@ -1,8 +1,8 @@
 /// MultiServerFilter (DESIGN.md §5): presents m share-slice servers as one
-/// ServerFilter. Share operations (EvalAt*, FetchShare*) fan out to every
-/// backend **concurrently** — one persistent worker thread per extra
-/// backend, the primary served on the calling thread — and the replies are
-/// summed (field sum for evaluations, ring sum for shares), which
+/// ServerFilter. Share operations (EvalAt*, EvalGrid, FetchShare*) fan out
+/// to every backend **concurrently** — one persistent worker thread per
+/// extra backend, the primary served on the calling thread — and the
+/// replies are summed (field sum for evaluations, ring sum for shares), which
 /// reconstructs the single-server answer because the additive split
 /// commutes with evaluation. Structure operations (navigation, cursors,
 /// sealed payloads) go to the primary (backend 0) alone: pre/post/parent
@@ -106,6 +106,9 @@ class MultiServerFilter : public ServerFilter {
       const std::vector<uint32_t>& pres, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) override;
+  StatusOr<std::vector<gf::Elem>> EvalGrid(
+      const std::vector<uint32_t>& pres,
+      const std::vector<gf::Elem>& points) override;
   StatusOr<gf::RingElem> FetchShare(uint32_t pre) override;
   StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) override;

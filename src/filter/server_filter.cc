@@ -27,6 +27,29 @@ uint64_t ScanEnd(const std::vector<NodeMeta>& covering, size_t i) {
 
 }  // namespace
 
+Status ValidateGrid(size_t pre_count, const std::vector<gf::Elem>& points) {
+  if (points.empty()) return Status::InvalidArgument("grid has no points");
+  if (points.size() > kMaxGridPoints) {
+    return Status::InvalidArgument("grid has " +
+                                   std::to_string(points.size()) +
+                                   " points, more than F_q has");
+  }
+  if (pre_count > kMaxGridValues / points.size()) {
+    return Status::InvalidArgument(
+        "grid of " + std::to_string(pre_count) + " pres x " +
+        std::to_string(points.size()) + " points exceeds the reply cap");
+  }
+  std::vector<gf::Elem> sorted = points;
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.front() == 0) {
+    return Status::InvalidArgument("grid point 0 is not a ring point");
+  }
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return Status::InvalidArgument("grid repeats a point");
+  }
+  return Status::OK();
+}
+
 std::vector<NodeMeta> CoveringSet(std::vector<NodeMeta> nodes) {
   // pre/post numbering: a is an ancestor of b iff pre(a) < pre(b) and
   // post(a) > post(b). In pre order, non-descendants have strictly
@@ -93,6 +116,22 @@ StatusOr<std::vector<NodeMeta>> ServerFilter::NodesBatch(
   for (uint32_t pre : pres) {
     SSDB_ASSIGN_OR_RETURN(NodeMeta node, GetNode(pre));
     out.push_back(node);
+  }
+  return out;
+}
+
+StatusOr<std::vector<gf::Elem>> ServerFilter::EvalGrid(
+    const std::vector<uint32_t>& pres, const std::vector<gf::Elem>& points) {
+  SSDB_RETURN_IF_ERROR(ValidateGrid(pres.size(), points));
+  const size_t k = points.size();
+  std::vector<gf::Elem> out(pres.size() * k);
+  for (size_t j = 0; j < k; ++j) {
+    SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> column,
+                          EvalAtBatch(pres, points[j]));
+    if (column.size() != pres.size()) {
+      return Status::Internal("EvalAtBatch size mismatch");
+    }
+    for (size_t i = 0; i < pres.size(); ++i) out[i * k + j] = column[i];
   }
   return out;
 }
@@ -309,6 +348,41 @@ StatusOr<std::vector<gf::Elem>> LocalServerFilter::EvalPointsBatch(
   out.reserve(points.size());
   for (gf::Elem t : points) {
     out.push_back(ring_.Eval(share, t));
+  }
+  return out;
+}
+
+StatusOr<std::vector<gf::Elem>> LocalServerFilter::EvalGrid(
+    const std::vector<uint32_t>& pres, const std::vector<gf::Elem>& points) {
+  CountTrip();
+  // The whole shape is checked before any table, reply or row.
+  SSDB_RETURN_IF_ERROR(ValidateGrid(pres.size(), points));
+  for (gf::Elem t : points) SSDB_RETURN_IF_ERROR(CheckPoint(t));
+  const size_t k = points.size();
+  std::vector<gf::Elem> out(pres.size() * k);
+  // Power tables are built once per request, at most kTableElems elements
+  // of them at a time: a long point list over a large field is served in
+  // blocks of points, one pass over the rows each, so its memory stays
+  // the reply plus one block (799 points at p = 83).
+  constexpr size_t kTableElems = size_t{1} << 16;
+  const size_t block = std::max<size_t>(1, kTableElems / ring_.n());
+  std::vector<gf::PowerTable> tables;
+  gf::RingElem unpacked;
+  for (size_t first = 0; first < k; first += block) {
+    const size_t last = std::min(k, first + block);
+    tables.clear();
+    for (size_t j = first; j < last; ++j) {
+      tables.push_back(ring_.Powers(points[j]));
+    }
+    for (size_t i = 0; i < pres.size(); ++i) {
+      Status status = Status::OK();
+      SSDB_RETURN_IF_ERROR(store_->VisitByPre(
+          pres[i], [&](const storage::NodeRow& row) {
+            status = ring_.EvalAtPoints(tables, row.share, &unpacked,
+                                        &out[i * k + first]);
+          }));
+      SSDB_RETURN_IF_ERROR(status);
+    }
   }
   return out;
 }

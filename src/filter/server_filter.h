@@ -66,6 +66,19 @@ std::vector<NodeMeta> CoveringSet(std::vector<NodeMeta> nodes);
 // puts in one request (DESIGN.md §6), so both frames stay bounded.
 inline constexpr size_t kDescendantsPage = 8192;
 
+// Point grids (DESIGN.md §3, §6). A grid asks for every pre at every point;
+// its points are distinct, non-zero and at most kMaxGridPoints (F_q has at
+// most 2^16 - 1 non-zero elements), and it carries at most kMaxGridValues
+// pres × points, so a reply stays a bounded fraction of the frame cap.
+inline constexpr size_t kMaxGridPoints = 65535;
+inline constexpr size_t kMaxGridValues = size_t{1} << 22;
+
+// InvalidArgument unless `pre_count` pres at `points` form a valid grid.
+// Field-agnostic: the wire decoder and every server run it before they
+// allocate a reply or read a row; a server also checks each point is in
+// its F_q.
+Status ValidateGrid(size_t pre_count, const std::vector<gf::Elem>& points);
+
 // Identity of the connection issuing a cursor operation (DESIGN.md §7).
 // Session 0 is the implicit session of the single-connection entry points;
 // the concurrent transport passes each connection's id. A strong type so
@@ -140,13 +153,21 @@ class ServerFilter {
   // Evaluates the stored server share of node `pre` at point t.
   virtual StatusOr<gf::Elem> EvalAt(uint32_t pre, gf::Elem t) = 0;
   // Batched variants (one round trip remotely): many nodes at one point,
-  // and one node at many points (the advanced engine's look-ahead).
+  // and one node at many points.
   virtual StatusOr<std::vector<gf::Elem>> EvalAtBatch(
       const std::vector<uint32_t>& pres, gf::Elem t) = 0;
   virtual StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) = 0;
+  // Every pre at every point (DESIGN.md §6): out[i * points.size() + j] is
+  // the share of pres[i] at points[j]. Stateless; the grid must pass
+  // ValidateGrid. The default asks EvalAtBatch once per point, so a
+  // decorator that forwards only that still answers it;
+  // LocalServerFilter reads each row once for all points.
+  virtual StatusOr<std::vector<gf::Elem>> EvalGrid(
+      const std::vector<uint32_t>& pres, const std::vector<gf::Elem>& points);
 
-  // Full server share, needed by the client-side equality test.
+  // Full server share: the equality test's whole-vector path (DESIGN.md
+  // §3).
   virtual StatusOr<gf::RingElem> FetchShare(uint32_t pre) = 0;
   // Many full shares in one round trip (batched equality tests).
   virtual StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
@@ -287,6 +308,9 @@ class LocalServerFilter : public ServerFilter {
       const std::vector<uint32_t>& pres, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) override;
+  StatusOr<std::vector<gf::Elem>> EvalGrid(
+      const std::vector<uint32_t>& pres,
+      const std::vector<gf::Elem>& points) override;
   StatusOr<gf::RingElem> FetchShare(uint32_t pre) override;
   StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) override;
@@ -323,7 +347,8 @@ class LocalServerFilter : public ServerFilter {
   // bytes are touched, the row's other payloads are never copied.
   // ReadShare unpacks them for a full-share fetch (and for one share at
   // many points); EvalRowAt evaluates them in place against a power table
-  // built once per point (DESIGN.md §2).
+  // built once per point (DESIGN.md §2); EvalGrid unpacks each row once
+  // for all of its points.
   StatusOr<gf::RingElem> ReadShare(uint32_t pre);
   StatusOr<gf::Elem> EvalRowAt(uint32_t pre, const gf::PowerTable& powers);
   // A point that arrived from a client: InvalidArgument unless t is in

@@ -3,8 +3,9 @@
 // Because x^(q-1) - 1 splits into distinct linear factors over F_q, the map
 //   coeffs  ->  (f(g^0), f(g^1), ..., f(g^(n-1)))       (g a generator)
 // is a ring isomorphism R_q -> F_q^n: multiplication becomes pointwise.
-// The client divides in this domain to recover a node's own factor
-// (ClientFilter::RecoverFromPolys). The encoder does not use it: one
+// The client divides in this domain to recover a node's own factor, at
+// the points g^i when it holds whole vectors (ClientFilter::
+// RecoverFromShares, DESIGN.md §3). The encoder does not use it: one
 // inverse transform per node costs more than the sparse coefficient-domain
 // products it would save (ablation A1, DESIGN.md §4; bench_field).
 

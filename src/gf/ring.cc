@@ -152,6 +152,37 @@ StatusOr<Elem> Ring::EvalAt(const PowerTable& powers,
   return value;
 }
 
+Status Ring::EvalAtPoints(const std::vector<PowerTable>& tables,
+                          std::string_view packed, RingElem* unpacked,
+                          Elem* out) const {
+  SSDB_RETURN_IF_ERROR(CheckPackedLength(packed));
+  unpacked->resize(n());
+  BitCursor cursor(packed);
+  const int bits = field_.bit_width();
+  const Elem q = field_.q();
+  bool out_of_range = false;
+  for (Elem& c : *unpacked) {
+    c = cursor.Next(bits);
+    out_of_range = out_of_range || c >= q;
+  }
+  if (out_of_range) {
+    return Status::Corruption("ring element coefficient out of range");
+  }
+  for (size_t j = 0; j < tables.size(); ++j) {
+    if (field_.e() != 1) {
+      out[j] = EvalAt(tables[j], *unpacked);
+      continue;
+    }
+    // Prime fields: one 64-bit sum below n * q^2 < 2^48, reduced once.
+    const Elem* coeff = unpacked->data();
+    const Elem* pow = tables[j].pow.data();
+    uint64_t acc = 0;
+    for (uint32_t i = 0; i < n(); ++i) acc += uint64_t{coeff[i]} * pow[i];
+    out[j] = static_cast<Elem>(acc % q);
+  }
+  return Status::OK();
+}
+
 bool Ring::IsZero(const RingElem& f) const {
   for (Elem c : f) {
     if (c != 0) return false;

@@ -81,6 +81,13 @@ class Ring {
   // RingElem; rejects them exactly as Deserialize would.
   StatusOr<Elem> EvalAt(const PowerTable& powers,
                         std::string_view packed) const;
+  // The grid kernel (DESIGN.md §6): unpacks Serialize()d share bytes once
+  // into `unpacked`, rejecting them exactly as Deserialize would, then sets
+  // out[j] to the share's value at the point of tables[j] — one unpack and
+  // one dot product per point, where EvalAt(·, packed) unpacks per point.
+  Status EvalAtPoints(const std::vector<PowerTable>& tables,
+                      std::string_view packed, RingElem* unpacked,
+                      Elem* out) const;
 
   bool IsZero(const RingElem& f) const;
 

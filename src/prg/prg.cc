@@ -186,6 +186,11 @@ Prg::Stream Prg::StreamForVerifyColumns(uint64_t pre) const {
   return Stream(key_, VerifyColumnsNonce(pre));
 }
 
+Prg::Stream Prg::StreamForGridPoints(uint64_t request) const {
+  SSDB_DCHECK(request < kGridRequestLimit);
+  return Stream(key_, request | (1ULL << 59));
+}
+
 uint64_t Prg::AggVerifyKey(uint32_t value_index) const {
   Stream stream(key_, (1ULL << 61) | (1ULL << 60));
   stream.Skip(static_cast<size_t>(value_index) * sizeof(uint64_t));

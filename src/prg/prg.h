@@ -5,8 +5,8 @@
 /// Each node position `pre` selects an independent ChaCha20 keystream
 /// (nonce = pre), so any node's client share can be regenerated in
 /// isolation, in any order — exactly the property the thin-client pipeline
-/// needs. Five domain-separated nonce spaces share the key (DESIGN.md §5,
-/// §8, §9, §12):
+/// needs. Six domain-separated nonce spaces share the key (DESIGN.md §3,
+/// §5, §8, §9, §12):
 ///   bits 0..31   node position `pre` (the nonce of a node as first encoded)
 ///   bits 32..39  mutation-nonce extension (DESIGN.md §12): a node re-shared
 ///                by INSERT/UPDATE/DELETE draws a fresh 40-bit nonce from a
@@ -14,6 +14,9 @@
 ///                [kFirstMutationNonce, kMutationNonceLimit), so mutated
 ///                masks never collide with any pre-addressed stream
 ///   bits 40..55  server slice index (multi-server encode; 0 = client share)
+///   bit  59      point-grid stream flag (DESIGN.md §3): the client's
+///                request counter in bits 0..55 picks the evaluation
+///                points of one strict-equality grid
 ///   bit  60      verification α-key stream flag (with bit 61, DESIGN.md §9)
 ///   bit  61      aggregate verification-track mask stream flag (DESIGN.md §9)
 ///   bit  62      aggregate-column mask stream flag (DESIGN.md §8)
@@ -40,6 +43,9 @@ namespace ssdb::prg {
 // them out in [kFirstMutationNonce, kMutationNonceLimit).
 inline constexpr uint64_t kFirstMutationNonce = uint64_t{1} << 32;
 inline constexpr uint64_t kMutationNonceLimit = uint64_t{1} << 40;
+// Grid request counters (DESIGN.md §3) live below the flag bit 59 in bits
+// 0..55.
+inline constexpr uint64_t kGridRequestLimit = uint64_t{1} << 56;
 
 class Prg {
  public:
@@ -125,6 +131,11 @@ class Prg {
   // client randomness alone, independent of the server count m), so nonce
   // bit 61 domain-separates it from every other stream.
   Stream StreamForVerifyColumns(uint64_t pre) const;
+
+  // The evaluation points of the client's strict-equality grid number
+  // `request` (DESIGN.md §3): a stream no server can predict without the
+  // seed, whatever the query. `request` must be below kGridRequestLimit.
+  Stream StreamForGridPoints(uint64_t request) const;
 
   // The client-held verification key α_τ for mapped value index τ
   // (DESIGN.md §9): a uniform uint64 drawn from the bits 60+61 nonce

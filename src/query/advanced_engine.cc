@@ -83,7 +83,7 @@ StatusOr<std::vector<NodeMeta>> AdvancedEngine::RunSteps(
     if (step.axis == Step::Axis::kChild) {
       // Step-level batching: expand the whole candidate set in one
       // exchange, name-test the pool in one batch, then apply the
-      // look-ahead to the survivors (one exchange per remaining value).
+      // look-ahead to the survivors (one grid for all remaining values).
       std::vector<NodeMeta> pool;
       if (first && from_document_root) {
         // The root is the document node's only child: test it in place.

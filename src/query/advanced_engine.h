@@ -37,7 +37,8 @@ class AdvancedEngine : public QueryEngine {
                                         size_t from, bool* absent_name) const;
 
   // Keeps the nodes whose subtree contains every value in `values` — one
-  // server exchange per value, not per node.
+  // server exchange (a grid of every node at every value), not one per
+  // node or per value.
   StatusOr<std::vector<filter::NodeMeta>> FilterByLookahead(
       std::vector<filter::NodeMeta> nodes,
       const std::vector<gf::Elem>& values);

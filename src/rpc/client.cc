@@ -180,6 +180,32 @@ StatusOr<std::vector<gf::Elem>> RemoteServerFilter::EvalPointsBatch(
   return ConsumeElems(&view);
 }
 
+StatusOr<std::vector<gf::Elem>> RemoteServerFilter::EvalGrid(
+    const std::vector<uint32_t>& pres, const std::vector<gf::Elem>& points) {
+  SSDB_RETURN_IF_ERROR(filter::ValidateGrid(pres.size(), points));
+  const size_t chunk = std::max<size_t>(1, kGridChunk / points.size());
+  std::vector<gf::Elem> all;
+  all.reserve(pres.size() * points.size());
+  for (size_t begin = 0; begin < pres.size(); begin += chunk) {
+    size_t end = std::min(begin + chunk, pres.size());
+    Request request;
+    request.op = Op::kEvalGrid;
+    request.points = points;
+    request.pres.assign(pres.begin() + begin, pres.begin() + end);
+    SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
+    std::string_view view = payload;
+    SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values, ConsumeElems(&view));
+    if (values.size() != (end - begin) * points.size()) {
+      return Status::Corruption("EvalGrid reply has " +
+                                std::to_string(values.size()) +
+                                " values, expected " +
+                                std::to_string((end - begin) * points.size()));
+    }
+    all.insert(all.end(), values.begin(), values.end());
+  }
+  return all;
+}
+
 StatusOr<gf::RingElem> RemoteServerFilter::FetchShare(uint32_t pre) {
   Request request;
   request.op = Op::kFetchShare;

@@ -48,6 +48,11 @@ class RemoteServerFilter : public filter::ServerFilter {
       const std::vector<uint32_t>& pres, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) override;
+  // Streams pres in chunks of kGridChunk / |points| (at least one), so
+  // every reply fits the frame cap.
+  StatusOr<std::vector<gf::Elem>> EvalGrid(
+      const std::vector<uint32_t>& pres,
+      const std::vector<gf::Elem>& points) override;
   StatusOr<gf::RingElem> FetchShare(uint32_t pre) override;
   StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) override;
@@ -84,6 +89,7 @@ class RemoteServerFilter : public filter::ServerFilter {
   // request frame, keeping any single frame well under kMaxFrameBytes while
   // still costing O(batch / chunk) round trips instead of O(batch).
   static constexpr size_t kEvalChunk = 16384;
+  static constexpr size_t kGridChunk = 65536;   // grid values per frame
   static constexpr size_t kShareChunk = 2048;   // full polynomials are wide
   static constexpr size_t kChildrenChunk = 8192;
   static constexpr size_t kAggChunk = 32768;    // frontier pres per frame

@@ -11,19 +11,23 @@ constexpr size_t kMaxDocIdBytes = 4096;
 
 // Shared count-prefixed varint-list codec for the batch ops. The decode
 // side rejects counts that cannot fit in the remaining bytes (each element
-// is at least one byte), so a tiny malformed frame cannot force a huge
-// allocation.
+// is at least one byte), or that exceed `max_count`, so a tiny malformed
+// frame cannot force a huge allocation.
 void AppendVarintList(std::string* out, const std::vector<uint32_t>& values) {
   PutVarint64(out, values.size());
   for (uint32_t value : values) PutVarint64(out, value);
 }
 
 template <typename T>
-Status ConsumeVarintList(std::string_view* data, std::vector<T>* out) {
+Status ConsumeVarintList(std::string_view* data, std::vector<T>* out,
+                         uint64_t max_count = UINT64_MAX) {
   uint64_t count = 0;
   SSDB_RETURN_IF_ERROR(GetVarint64(data, &count));
   if (count > data->size()) {
     return Status::Corruption("batch count exceeds frame size");
+  }
+  if (count > max_count) {
+    return Status::Corruption("batch count exceeds its cap");
   }
   out->resize(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -116,6 +120,10 @@ std::string EncodeRequest(const Request& request) {
       PutVarint64(&out, request.pre);
       AppendVarintList(&out, request.pres);
       AppendVarintList(&out, request.posts);
+      break;
+    case Op::kEvalGrid:
+      AppendVarintList(&out, request.points);
+      AppendVarintList(&out, request.pres);
       break;
   }
   return out;
@@ -234,6 +242,16 @@ StatusOr<Request> DecodeRequest(std::string_view data) {
       if (request.posts.size() != request.pres.size()) {
         return Status::Corruption("descendant roots: pre/post count mismatch");
       }
+      break;
+    case Op::kEvalGrid:
+      // The points bound how many pres may follow, so the grid is checked
+      // whole before the pres are allocated.
+      SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.points,
+                                             filter::kMaxGridPoints));
+      SSDB_RETURN_IF_ERROR(filter::ValidateGrid(0, request.points));
+      SSDB_RETURN_IF_ERROR(ConsumeVarintList(
+          &data, &request.pres,
+          filter::kMaxGridValues / request.points.size()));
       break;
     default:
       return Status::Corruption("unknown op " +

@@ -78,6 +78,10 @@ enum class Op : uint8_t {
   // whole '..' step).
   kDescendantsBatch = 28,
   kNodesBatch = 29,
+  // Point grid (DESIGN.md §6): every pre at every point, |pres|·|points|
+  // field elements back. `points` travel first, then `pres`; the decoder
+  // runs filter::ValidateGrid before it allocates the pres.
+  kEvalGrid = 30,
 };
 
 // Two-phase step selector for the mutation ops (DESIGN.md §12).

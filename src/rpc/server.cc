@@ -87,6 +87,12 @@ Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
       AppendElems(payload, values);
       return Status::OK();
     }
+    case Op::kEvalGrid: {
+      SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values,
+                            filter->EvalGrid(request.pres, request.points));
+      AppendElems(payload, values);
+      return Status::OK();
+    }
     case Op::kFetchShare: {
       SSDB_ASSIGN_OR_RETURN(gf::RingElem share,
                             filter->FetchShare(request.pre));

@@ -213,6 +213,10 @@ void AppendElems(std::string* out, const std::vector<gf::Elem>& elems) {
 StatusOr<std::vector<gf::Elem>> ConsumeElems(std::string_view* in) {
   uint64_t count = 0;
   SSDB_RETURN_IF_ERROR(GetVarint64(in, &count));
+  // Every element costs at least one byte.
+  if (count > in->size()) {
+    return Status::Corruption("element count exceeds payload");
+  }
   std::vector<gf::Elem> elems(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t v = 0;

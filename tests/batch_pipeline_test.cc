@@ -352,6 +352,114 @@ TEST(BatchPipelineTest, EveryAxisCostsTheSameTripsAtAnyCandidateCount) {
   }
 }
 
+// Nine nested names, three branches deep: the shape of the ledger's
+// chain9 class.
+std::string ChainXml() {
+  std::string xml = "<c0>";
+  for (int branch = 0; branch < 3; ++branch) {
+    for (int i = 1; i < 9; ++i) xml += "<c" + std::to_string(i) + ">";
+    for (int i = 8; i >= 1; --i) xml += "</c" + std::to_string(i) + ">";
+  }
+  return xml + "</c0>";
+}
+
+TEST(BatchPipelineTest, LookaheadCostsOneExchangePerStep) {
+  // The advanced engine's look-ahead asks for every later name in one
+  // grid, so a chain query run that way costs no more round trips than
+  // the simple engine's strict run (children + grid per step).
+  auto db = BuildTestDb(ChainXml());
+  const std::string chain = "/c0/c1/c2/c3/c4/c5/c6/c7/c8";
+  WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
+    filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+    query::SimpleEngine simple(&client, &db->map);
+    query::AdvancedEngine advanced(&client, &db->map);
+    size_t strict_results = 0;
+    size_t contain_results = 0;
+    const uint64_t strict = MeasureTrips(db.get(), remote, &simple, chain,
+                                         query::MatchMode::kEquality,
+                                         &strict_results);
+    const uint64_t lookahead = MeasureTrips(
+        db.get(), remote, &advanced, chain, query::MatchMode::kContainment,
+        &contain_results);
+    EXPECT_LE(lookahead, strict);
+    EXPECT_EQ(strict_results, 3u);
+    EXPECT_EQ(contain_results, 3u);
+  });
+}
+
+TEST(BatchPipelineTest, StrictGridMovesFieldElementsNotShares) {
+  // A strict test ships each distinct node once per slice: its pre out and
+  // kGridPoints one-byte values back (p = 83), plus a constant per frame.
+  auto db = BuildTestDb(WideXml(40));
+  WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
+    filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+    auto people = (*client.Children(*client.Root()))[0];
+    auto persons = *client.Children(people);
+    ASSERT_EQ(persons.size(), 40u);
+    auto moved = [&] {
+      return remote->channel().bytes_sent() +
+             remote->channel().bytes_received();
+    };
+    // The children exchange alone, measured on its own.
+    uint64_t start = moved();
+    auto children = client.ChildrenBatch(persons);
+    ASSERT_TRUE(children.ok());
+    const uint64_t children_bytes = moved() - start;
+
+    uint64_t budget = 0;
+    for (size_t i = 0; i < persons.size(); ++i) {
+      for (const filter::NodeMeta& node : {persons[i], (*children)[i][0]}) {
+        budget += (node.pre < 128 ? 1 : node.pre < 16384 ? 2 : 3) +
+                  filter::ClientFilter::kGridPoints;
+      }
+    }
+    constexpr uint64_t kFrameOverhead = 32;  // both frames of one exchange
+    start = moved();
+    const uint64_t trips_before = remote->round_trips();
+    auto equal = client.EqualsValueBatch(persons, *db->map.Lookup("person"));
+    ASSERT_TRUE(equal.ok()) << equal.status().ToString();
+    EXPECT_EQ(*equal, std::vector<uint8_t>(persons.size(), 1));
+    EXPECT_EQ(remote->round_trips() - trips_before, 2u);
+    EXPECT_LE(moved() - start - children_bytes, budget + kFrameOverhead);
+    EXPECT_EQ(client.stats().shares_fetched, 0u);
+  });
+}
+
+TEST(BatchPipelineTest, FallbackAnswersExactlyForOneMoreExchange) {
+  // The hub's children hold all 81 mapped tags, every non-zero value of
+  // F_83 but the spare, so its child product vanishes at all 5 drawn points
+  // with probability C(81,5)/C(82,5) ≈ 0.94 per grid. Such a test fetches
+  // whole vectors in one more exchange and still answers exactly; a draw
+  // that hits the spare value answers from the grid alone.
+  std::string xml = "<r><hub><r/><hub/><leaf/>";
+  for (int i = 0; i < 78; ++i) xml += "<t" + std::to_string(i) + "/>";
+  xml += "</hub><leaf/></r>";
+  auto db = BuildTestDb(xml);
+  ASSERT_EQ(db->map.size(), 81u);
+  WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
+    filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+    auto top = *client.Children(*client.Root());
+    ASSERT_EQ(top.size(), 2u);
+    const gf::Elem hub = *db->map.Lookup("hub");
+    size_t fallbacks = 0;
+    for (int round = 0; round < 8; ++round) {
+      const uint64_t trips_before = remote->round_trips();
+      const uint64_t shares_before = client.stats().shares_fetched;
+      auto equal = client.EqualsValueBatch(top, hub);
+      ASSERT_TRUE(equal.ok()) << equal.status().ToString();
+      EXPECT_EQ(*equal, (std::vector<uint8_t>{1, 0}));
+      const bool fell_back = client.stats().shares_fetched > shares_before;
+      if (fell_back) {
+        // The hub and its 81 children, whole; the leaf stayed on the grid.
+        EXPECT_EQ(client.stats().shares_fetched - shares_before, 82u);
+        ++fallbacks;
+      }
+      EXPECT_EQ(remote->round_trips() - trips_before, fell_back ? 3u : 2u);
+    }
+    EXPECT_GT(fallbacks, 0u);
+  });
+}
+
 // Pages through DescendantsBatch and returns every node; `pages` counts
 // the requests.
 std::vector<filter::NodeMeta> DrainPages(

@@ -1,8 +1,9 @@
 // Differential oracle battery: random documents (small XMark, deep/narrow
-// and wide/flat trees, one larger than a descendant page) and random fetch
-// queries over '/', '//', '*', '..' and nested predicates. Every answer of
-// both engines × both match modes × m ∈ {1, 2} × memory/disk — m = 2 served
-// by concurrent servers over unix sockets — must equal the plaintext oracle:
+// and wide/flat trees, one larger than a descendant page, one whose hub
+// node's children hold every mapped tag) and random fetch queries over
+// '/', '//', '*', '..' and nested predicates. Every answer of both engines
+// × both match modes × m ∈ {1, 2, 3} × memory/disk — m > 1 served by
+// concurrent servers over unix sockets — must equal the plaintext oracle:
 // EvaluateGroundTruth for strict mode, EvaluateContainmentTruth with the
 // engine's rule for non-strict mode. A deployment whose primary loses every
 // NodesBatch must answer exactly or fail naming server 0, never short.
@@ -156,13 +157,13 @@ class Battery {
     xml::AnnotatePrePost(&doc_);
   }
 
-  // Builds the memory/disk × m ∈ {1, 2} deployments plus the one whose
+  // Builds the memory/disk × m ∈ {1, 2, 3} deployments plus the one whose
   // primary fails every NodesBatch.
   void Deploy() {
     const prg::Seed seed = prg::Seed::FromUint64(seed_);
     for (core::Backend backend :
          {core::Backend::kMemory, core::Backend::kDisk}) {
-      for (uint32_t m : {1u, 2u}) {
+      for (uint32_t m : {1u, 2u, 3u}) {
         Deployment dep;
         bool disk = backend == core::Backend::kDisk;
         dep.label = std::string(disk ? "disk" : "memory") +
@@ -347,6 +348,49 @@ TEST(DifferentialTest, MultiPageDescendants) {
     ASSERT_TRUE(q.ok()) << text;
     ASSERT_NO_FATAL_FAILURE(battery.RunQuery(*q));
   }
+}
+
+TEST(DifferentialTest, HubWhoseChildrenHoldEveryTag) {
+  // 81 mapped tags over F_83 leave one spare value. The hub's child
+  // product vanishes at the other 81 points, so a strict test of the hub
+  // draws 5 of them with probability C(81,5)/C(82,5) ≈ 0.94 and falls back
+  // to whole vectors (DESIGN.md §3). Its answers must not change.
+  std::vector<std::string> names;
+  for (int i = 0; i < 81; ++i) names.push_back("t" + std::to_string(i));
+  auto map = mapping::TagMap::FromNames(names, *gf::Field::Make(83));
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  Random rng(81);
+  std::string xml = "<t0><t2><t3/></t2><t1>";
+  for (const std::string& name : names) {
+    xml += "<" + name + ">";
+    if (rng.Bernoulli(0.3)) {
+      xml += "<t" + std::to_string(rng.Uniform(81)) + "/>";
+    }
+    xml += "</" + name + ">";
+  }
+  xml += "</t1><t5><t1><t4/></t1></t5></t0>";
+
+  // The fallback runs: the hub's step fetches the hub and its 81 children
+  // whole, beyond the root's own whole-vector fetch.
+  core::DatabaseOptions options;
+  auto db = core::EncryptedXmlDatabase::Encode(
+      xml, *map, prg::Seed::FromUint64(81), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto hub = (*db)->Query("/t0/t1", core::EngineKind::kSimple,
+                          MatchMode::kEquality);
+  ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+  ASSERT_EQ(hub->nodes.size(), 1u);
+  EXPECT_GT(hub->stats.eval.shares_fetched, 81u);
+
+  Battery battery(81, "hub", std::move(xml), std::move(*map));
+  ASSERT_NO_FATAL_FAILURE(battery.Deploy());
+  for (const char* text : {"/t0/t1", "/t0/*", "//t1", "/t0/t1/t7",
+                           "//t1[t40]", "/t0/*[t3]", "//t1/..", "//*[t4]"}) {
+    auto q = query::ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << text;
+    ASSERT_NO_FATAL_FAILURE(battery.RunQuery(*q));
+  }
+  ASSERT_NO_FATAL_FAILURE(battery.Run(10, &rng));
 }
 
 TEST(DifferentialTest, LongDifferentialBattery) { RunSeeds(1000, 10, 50); }

@@ -43,7 +43,8 @@ struct FaultConfig {
   Fault fault = Fault::kNone;
   // Surfaces the fault applies to. Evaluation and share replies always use
   // field arithmetic (+1), whatever the fault kind says about words.
-  bool on_eval = false;       // EvalAt / EvalAtBatch / EvalPointsBatch
+  bool on_eval = false;       // EvalAt / EvalAtBatch / EvalPointsBatch /
+                              // EvalGrid
   bool on_share = false;      // FetchShare / FetchShareBatch
   bool on_aggregate = false;  // PartialAggregate / PartialAggregateVerified
   // NodesBatch (a whole '..' step) answers Unavailable: the server is lost
@@ -149,6 +150,15 @@ class TamperingServerFilter : public filter::ServerFilter {
       uint32_t pre, const std::vector<gf::Elem>& points) override {
     SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values,
                           inner_->EvalPointsBatch(pre, points));
+    for (gf::Elem& value : values) value = MaybePerturbElem(value);
+    return values;
+  }
+
+  StatusOr<std::vector<gf::Elem>> EvalGrid(
+      const std::vector<uint32_t>& pres,
+      const std::vector<gf::Elem>& points) override {
+    SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values,
+                          inner_->EvalGrid(pres, points));
     for (gf::Elem& value : values) value = MaybePerturbElem(value);
     return values;
   }

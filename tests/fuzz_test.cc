@@ -247,8 +247,8 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   request.phase = rpc::MutationPhase::kPrepare;
   request.plan = "not a plan";
   request.posts = {9, 8, 7};  // kDescendantsBatch roots (DESIGN.md §6)
-  // One past kNodesBatch (29): the last valid opcode plus an invalid probe.
-  for (uint8_t op = 0; op <= 30; ++op) {
+  // One past kEvalGrid (30): the last valid opcode plus an invalid probe.
+  for (uint8_t op = 0; op <= 31; ++op) {
     request.op = static_cast<rpc::Op>(op);
     std::string valid = rpc::EncodeRequest(request);
     for (size_t cut = 0; cut <= valid.size(); ++cut) {
@@ -259,9 +259,10 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   // Oversized batch counts: varints claiming 2^40..2^62 elements must be
   // rejected at decode, not allocated (would OOM or hang the worker).
   for (int shift = 40; shift <= 62; ++shift) {
-    // Batch opcodes, including the mutation planner's column fetch (27)
-    // and the set-at-a-time structure reads (28, 29).
-    for (uint8_t op : {8, 12, 14, 15, 16, 17, 18, 19, 27, 28, 29}) {
+    // Batch opcodes, including the mutation planner's column fetch (27),
+    // the set-at-a-time structure reads (28, 29) and the point grid (30),
+    // whose point count comes first.
+    for (uint8_t op : {8, 12, 14, 15, 16, 17, 18, 19, 27, 28, 29, 30}) {
       std::string frame;
       frame.push_back(static_cast<char>(op));
       // kEvalAtBatch/kEvalPointsBatch carry a point/pre varint before the
@@ -317,6 +318,77 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   ASSERT_TRUE(after.ok());
   db->server->EndSession(filter::SessionId{0});
   EXPECT_EQ(db->server->OpenCursorCount(), 0u);
+}
+
+// Point-grid frames (op 30, DESIGN.md §6) are checked whole before the
+// server allocates a reply or reads a row: no points, point 0, a repeated
+// point, more points than F_q has, a point outside F_q, and a count bomb
+// whose lists each fit the frame but whose pres × points product exceeds
+// the reply cap all answer an error. A valid grid answers every pre at
+// every point, exactly as EvalAtBatch does point by point.
+TEST(FuzzTest, GridFramesAreCheckedBeforeWork) {
+  auto db = testing_helpers::BuildTestDb(testing_helpers::SmallAuctionXml());
+  rpc::RpcServer server(db->ring, db->server.get());
+  auto put_varint = [](std::string* out, uint64_t v) {
+    while (v >= 0x80) {
+      out->push_back(static_cast<char>(0x80 | (v & 0x7f)));
+      v >>= 7;
+    }
+    out->push_back(static_cast<char>(v));
+  };
+  // Op 30, the points, then `pres` copies of pre 1.
+  auto grid_frame = [&](const std::vector<uint64_t>& points, uint64_t pres) {
+    std::string frame(1, static_cast<char>(rpc::Op::kEvalGrid));
+    put_varint(&frame, points.size());
+    for (uint64_t point : points) put_varint(&frame, point);
+    put_varint(&frame, pres);
+    frame.append(pres, '\x01');
+    return frame;
+  };
+  auto rejected = [&](const std::string& frame) {
+    return !rpc::DecodeResponse(server.HandleRequest(frame)).ok();
+  };
+
+  std::vector<uint64_t> many;
+  for (uint64_t v = 1; v <= filter::kMaxGridPoints + 1; ++v) many.push_back(v);
+  std::vector<uint64_t> thousand(many.begin(), many.begin() + 1000);
+  EXPECT_TRUE(rejected(grid_frame({}, 3)));
+  EXPECT_TRUE(rejected(grid_frame({0, 4}, 3)));
+  EXPECT_TRUE(rejected(grid_frame({4, 9, 4}, 3)));
+  EXPECT_TRUE(rejected(grid_frame(many, 1)));
+  EXPECT_TRUE(rejected(grid_frame({4, 83}, 3)));  // outside F_83
+  // 1000 points × 5000 pres = 5M values > kMaxGridValues, in a 7 KB frame.
+  ASSERT_GT(1000u * 5000u, filter::kMaxGridValues);
+  EXPECT_TRUE(rejected(grid_frame(thousand, 5000)));
+  // The same checks guard the server entry point behind the decoder.
+  EXPECT_FALSE(db->server->EvalGrid({1}, {}).ok());
+  EXPECT_FALSE(db->server->EvalGrid({1}, {5, 5}).ok());
+  EXPECT_FALSE(db->server->EvalGrid({1}, {90}).ok());
+  EXPECT_FALSE(
+      db->server->EvalGrid(std::vector<uint32_t>(5000, 1),
+                           std::vector<gf::Elem>(thousand.begin(),
+                                                 thousand.end()))
+          .ok());
+
+  // A valid grid, one pre absent from the store: an error, never a value.
+  EXPECT_FALSE(db->server->EvalGrid({1, 999999}, {4}).ok());
+  const std::vector<uint32_t> pres = {3, 1, 2, 3};
+  const std::vector<gf::Elem> points = {7, 2, 82};
+  auto grid = db->server->EvalGrid(pres, points);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  ASSERT_EQ(grid->size(), pres.size() * points.size());
+  for (size_t j = 0; j < points.size(); ++j) {
+    auto column = db->server->EvalAtBatch(pres, points[j]);
+    ASSERT_TRUE(column.ok());
+    for (size_t i = 0; i < pres.size(); ++i) {
+      EXPECT_EQ((*grid)[i * points.size() + j], (*column)[i]);
+    }
+  }
+  // The base-class body (what a decorator forwarding only EvalAtBatch
+  // answers) agrees.
+  auto looped = db->server->filter::ServerFilter::EvalGrid(pres, points);
+  ASSERT_TRUE(looped.ok());
+  EXPECT_EQ(*looped, *grid);
 }
 
 // The set-at-a-time structure reads (DESIGN.md §6) under wild parameters:

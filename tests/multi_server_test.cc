@@ -251,6 +251,56 @@ TEST_F(MultiServerTest, TamperedSliceIsDetectedByFullVerification) {
   EXPECT_EQ(*honest_value, *map_.Lookup("site"));
 }
 
+TEST_F(MultiServerTest, TamperedGridIsDetectedWithoutFullVerification) {
+  // Default mode checks each strict test at the grid's other points: one
+  // slice adding 1 to every grid value it returns must turn a strict query
+  // into Corruption, never into a wrong answer. The simple engine's strict
+  // steps use equality only, and every candidate below has children: a
+  // leaf's polynomial is x - t, so a constant added to its values is a
+  // consistent shift that no check at any point can see.
+  auto db = EncodeWithServers(xml_, map_, seed_, 2);
+  ASSERT_TRUE(db.ok());
+  testing_helpers::FaultConfig config;
+  config.fault = testing_helpers::Fault::kAddOne;
+  config.on_eval = true;
+  testing_helpers::TamperingServerFilter tampered(
+      ring_, (*db)->slice_filter(1), config);
+  auto client = core::EncryptedXmlDatabase::FromFilters(
+      {(*db)->slice_filter(0), &tampered}, map_, seed_, 83, 1);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  auto doc = *xml::ParseDocument(xml_);
+  xml::AnnotatePrePost(&doc);
+  for (const char* text : {"/site/people/person", "/site/regions/europe/item",
+                           "/site/open_auctions/open_auction/bidder"}) {
+    auto parsed = query::ParseQuery(text);
+    ASSERT_TRUE(parsed.ok());
+    const uint64_t before = tampered.faults_injected();
+    auto result = (*client)->QueryParsed(*parsed, core::EngineKind::kSimple,
+                                         query::MatchMode::kEquality);
+    EXPECT_GT(tampered.faults_injected(), before) << text;
+    if (result.ok()) {
+      std::vector<uint32_t> actual;
+      for (const auto& node : result->nodes) actual.push_back(node.pre);
+      EXPECT_EQ(actual, *query::EvaluateGroundTruth(*parsed, doc)) << text;
+    }
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << text << ": " << result.status().ToString();
+  }
+
+  // Control: the honest slice answers every query exactly.
+  for (const char* text :
+       {"/site/people/person", "/site/regions/europe/item"}) {
+    auto parsed = query::ParseQuery(text);
+    auto result = (*db)->QueryParsed(*parsed, core::EngineKind::kSimple,
+                                     query::MatchMode::kEquality);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->nodes.size(),
+              query::EvaluateGroundTruth(*parsed, doc)->size());
+  }
+}
+
 TEST_F(MultiServerTest, PrimaryLostMidParentStepFailsNamingIt) {
   // Regression: '..' used to drop every node whose parent lookup failed,
   // so a primary lost mid-query gave a short answer instead of an error.

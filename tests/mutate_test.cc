@@ -359,6 +359,21 @@ TEST_F(MutateTest, PlansArePinned) {
             0xdcc0c0bd461c5fdaull);
 }
 
+// Planning reads the slice states once, in BeginPlan. A text-only UPDATE
+// of shelfA (depth 1, a path of two nodes) at m = 2 then costs 7 exchanges:
+// MutationStates, one GetNode and one FetchSealed per path node, one
+// FetchColumnsBatch and one FetchShareBatch for the path's shares.
+TEST_F(MutateTest, PlanningReadsMutationStatesOnce) {
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+  auto db = MakeDb(kLibXml, map, 2, /*seal=*/true);
+  encode::Mutator mutator(db->ring(), map, prg::Prg(seed_),
+                          db->server_filter());
+  const uint64_t before = db->server_filter()->RoundTrips();
+  auto planned = mutator.PlanUpdate(2, "", std::string("x"));
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_EQ(db->server_filter()->RoundTrips() - before, 7u);
+}
+
 // A primary that lies about one node's subtree size: it adds one to a
 // kEqualDesc word of that node's column blob and answers everything else
 // honestly.

@@ -43,7 +43,7 @@ TEST(ProtocolTest, RequestRoundTripAllOps) {
                 Op::kEvalAtBatch, Op::kFetchShare, Op::kNodeCount,
                 Op::kShutdown, Op::kEvalPointsBatch, Op::kFetchSealed,
                 Op::kFetchShareBatch, Op::kChildrenBatch,
-                Op::kDescendantsBatch, Op::kNodesBatch}) {
+                Op::kDescendantsBatch, Op::kNodesBatch, Op::kEvalGrid}) {
     Request request;
     request.op = op;
     request.pre = 12;
@@ -65,6 +65,10 @@ TEST(ProtocolTest, RequestRoundTripAllOps) {
     if (op == Op::kNodesBatch) {
       EXPECT_EQ(decoded->pres, request.pres);
     }
+    if (op == Op::kEvalGrid) {
+      EXPECT_EQ(decoded->points, request.points);
+      EXPECT_EQ(decoded->pres, request.pres);
+    }
   }
   EXPECT_FALSE(DecodeRequest("").ok());
   EXPECT_FALSE(DecodeRequest("\x63junk").ok());
@@ -74,7 +78,7 @@ TEST(ProtocolTest, HugeBatchCountRejectedWithoutAllocation) {
   // A tiny frame claiming a 2^60-element batch must decode to Corruption,
   // not attempt the allocation.
   for (Op op : {Op::kEvalAtBatch, Op::kEvalPointsBatch, Op::kFetchShareBatch,
-                Op::kChildrenBatch}) {
+                Op::kChildrenBatch, Op::kEvalGrid}) {
     std::string frame;
     frame.push_back(static_cast<char>(op));
     if (op == Op::kEvalAtBatch || op == Op::kEvalPointsBatch) {
@@ -131,6 +135,27 @@ TEST(RemoteFilterTest, MatchesLocalOverInProcessChannel) {
   auto local_points = db->server->EvalPointsBatch(1, {1, 2, 3, 4});
   ASSERT_TRUE(points.ok() && local_points.ok());
   EXPECT_EQ(*points, *local_points);
+
+  // Point grids, in one frame and (82 points × 1000 pres, more than
+  // kGridChunk values) in two.
+  auto grid = remote.EvalGrid({3, 1, 2}, {5, 1, 9});
+  auto local_grid = db->server->EvalGrid({3, 1, 2}, {5, 1, 9});
+  ASSERT_TRUE(grid.ok() && local_grid.ok()) << grid.status().ToString();
+  EXPECT_EQ(*grid, *local_grid);
+  std::vector<gf::Elem> all_points;
+  for (gf::Elem t = 1; t < 83; ++t) all_points.push_back(t);
+  std::vector<uint32_t> many_pres(1000);
+  for (size_t i = 0; i < many_pres.size(); ++i) {
+    many_pres[i] = static_cast<uint32_t>(1 + i % 20);
+  }
+  ASSERT_GT(many_pres.size() * all_points.size(),
+            RemoteServerFilter::kGridChunk);
+  const uint64_t trips_before = remote.round_trips();
+  auto wide_grid = remote.EvalGrid(many_pres, all_points);
+  ASSERT_TRUE(wide_grid.ok()) << wide_grid.status().ToString();
+  EXPECT_EQ(remote.round_trips() - trips_before, 2u);
+  EXPECT_EQ(*wide_grid, *db->server->EvalGrid(many_pres, all_points));
+  EXPECT_FALSE(remote.EvalGrid({1}, {4, 4}).ok());
 
   EXPECT_EQ(*remote.FetchShare(2), *db->server->FetchShare(2));
 
