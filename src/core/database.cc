@@ -71,7 +71,7 @@ StatusOr<std::unique_ptr<EncryptedXmlDatabase>> EncryptedXmlDatabase::Encode(
   SSDB_ASSIGN_OR_RETURN(db->encode_result_, encoder.EncodeString(xml));
 
   db->trie_ = options.encode.trie;
-  db->AttachSlices(db->StoreBackends(), seed);
+  SSDB_RETURN_IF_ERROR(db->AttachSlices(db->StoreBackends(), seed));
   return db;
 }
 
@@ -90,7 +90,7 @@ EncryptedXmlDatabase::OpenSlices(const std::vector<std::string>& slice_paths,
                           storage::DiskNodeStore::Open(path));
     db->stores_.push_back(std::move(store));
   }
-  db->AttachSlices(db->StoreBackends(), seed);
+  SSDB_RETURN_IF_ERROR(db->AttachSlices(db->StoreBackends(), seed));
   return db;
 }
 
@@ -105,7 +105,7 @@ EncryptedXmlDatabase::ConnectRemoteMulti(
       db->session_,
       rpc::MultiServerSession::FromChannels(db->ring_, std::move(channels)));
   db->server_view_ = db->session_->filter();
-  db->BuildEngines(seed);
+  SSDB_RETURN_IF_ERROR(db->BuildEngines(seed));
   return db;
 }
 
@@ -119,7 +119,7 @@ EncryptedXmlDatabase::FromFilters(
   }
   SSDB_ASSIGN_OR_RETURN(std::unique_ptr<EncryptedXmlDatabase> db,
                         Make(map, p, e));
-  db->AttachSlices(backends, seed);
+  SSDB_RETURN_IF_ERROR(db->AttachSlices(backends, seed));
   return db;
 }
 
@@ -133,7 +133,7 @@ std::vector<filter::ServerFilter*> EncryptedXmlDatabase::StoreBackends() {
   return raw;
 }
 
-void EncryptedXmlDatabase::AttachSlices(
+Status EncryptedXmlDatabase::AttachSlices(
     std::vector<filter::ServerFilter*> backends, const prg::Seed& seed) {
   if (backends.size() == 1) {
     server_view_ = backends[0];
@@ -142,17 +142,20 @@ void EncryptedXmlDatabase::AttachSlices(
         std::make_unique<filter::MultiServerFilter>(ring_, std::move(backends));
     server_view_ = fanout_.get();
   }
-  BuildEngines(seed);
+  return BuildEngines(seed);
 }
 
-void EncryptedXmlDatabase::BuildEngines(const prg::Seed& seed) {
+Status EncryptedXmlDatabase::BuildEngines(const prg::Seed& seed) {
   client_ = std::make_unique<filter::ClientFilter>(ring_, prg::Prg(seed),
                                                    server_view_);
   simple_ = std::make_unique<query::SimpleEngine>(client_.get(), &map_);
   advanced_ = std::make_unique<query::AdvancedEngine>(client_.get(), &map_);
   agg_ = std::make_unique<agg::AggregationEngine>(client_.get(), &map_);
   mutator_ = std::make_unique<encode::Mutator>(ring_, map_, prg::Prg(seed),
-                                               server_view_);
+                                               client_.get());
+  // The skeleton is loaded once here, so its cost lands at open and every
+  // later structure step is a lookup (DESIGN.md §6).
+  return client_->LoadSkeleton();
 }
 
 Status EncryptedXmlDatabase::ProbeShares() {
@@ -178,25 +181,31 @@ void EncryptedXmlDatabase::SetEndpointHealth(
 StatusOr<MutationResult> EncryptedXmlDatabase::Update(
     uint32_t pre, std::string_view new_tag,
     const std::optional<std::string>& new_text) {
-  SSDB_RETURN_IF_ERROR(CheckMutable());
-  SSDB_ASSIGN_OR_RETURN(encode::PlannedMutation planned,
-                        mutator_->PlanUpdate(pre, new_tag, new_text));
-  return DriveMutation(std::move(planned));
+  return Mutate([&] { return mutator_->PlanUpdate(pre, new_tag, new_text); });
 }
 
 StatusOr<MutationResult> EncryptedXmlDatabase::Insert(
     uint32_t parent_pre, std::string_view fragment_xml) {
-  SSDB_RETURN_IF_ERROR(CheckMutable());
-  SSDB_ASSIGN_OR_RETURN(encode::PlannedMutation planned,
-                        mutator_->PlanInsert(parent_pre, fragment_xml));
-  return DriveMutation(std::move(planned));
+  return Mutate(
+      [&] { return mutator_->PlanInsert(parent_pre, fragment_xml); });
 }
 
 StatusOr<MutationResult> EncryptedXmlDatabase::Delete(uint32_t pre) {
+  return Mutate([&] { return mutator_->PlanDelete(pre); });
+}
+
+StatusOr<MutationResult> EncryptedXmlDatabase::Mutate(
+    const std::function<StatusOr<encode::PlannedMutation>()>& plan) {
   SSDB_RETURN_IF_ERROR(CheckMutable());
-  SSDB_ASSIGN_OR_RETURN(encode::PlannedMutation planned,
-                        mutator_->PlanDelete(pre));
-  return DriveMutation(std::move(planned));
+  // Another client committed since this skeleton was loaded: re-fetch it
+  // and plan once more (DESIGN.md §12).
+  StatusOr<encode::PlannedMutation> planned = plan();
+  if (planned.status().IsStaleVersion()) {
+    SSDB_RETURN_IF_ERROR(client_->LoadSkeleton());
+    planned = plan();
+  }
+  SSDB_RETURN_IF_ERROR(planned.status());
+  return DriveMutation(std::move(*planned));
 }
 
 Status EncryptedXmlDatabase::CheckMutable() {
@@ -222,7 +231,19 @@ StatusOr<MutationResult> EncryptedXmlDatabase::DriveMutation(
     (void)server_view_->AbortMutation(planned.txn);  // best-effort cleanup
     return prepared;
   }
-  SSDB_RETURN_IF_ERROR(server_view_->CommitMutation(planned.txn));
+  Status committed = server_view_->CommitMutation(planned.txn);
+  if (!committed.ok()) {
+    // Some slice may have committed: RecoverMutations settles the txn and
+    // applies this plan to the skeleton if it went through.
+    in_doubt_txn_ = planned.txn;
+    in_doubt_plan_ = std::move(planned.plans[0]);
+    return committed;
+  }
+  // The plan is the whole structural change, so the skeleton follows it
+  // here instead of being fetched again (DESIGN.md §12). The commit
+  // stands either way: a skeleton left behind is refused on the next
+  // stamped request and fetched then.
+  (void)client_->ApplyCommitted(planned.plans[0], planned.txn);
   MutationResult result;
   result.version = planned.txn;
   result.stats = planned.stats;
@@ -245,7 +266,7 @@ Status EncryptedXmlDatabase::RecoverMutations() {
       pending = std::max(pending, st.pending_txn);
       committed = std::max(committed, st.version);
     }
-    if (pending == 0) return Status::OK();
+    if (pending == 0) return SettleSkeleton(committed);
     if (committed >= pending) {
       SSDB_RETURN_IF_ERROR(server_view_->CommitMutation(pending));
     } else {
@@ -262,7 +283,56 @@ StatusOr<QueryResult> EncryptedXmlDatabase::Query(std::string_view xpath,
   return QueryParsed(parsed, engine, mode);
 }
 
+Status EncryptedXmlDatabase::SettleSkeleton(uint64_t committed) {
+  std::optional<storage::MutationPlan> own = std::move(in_doubt_plan_);
+  in_doubt_plan_.reset();
+  SSDB_ASSIGN_OR_RETURN(uint64_t held, client_->SkeletonVersion());
+  if (held == committed) return Status::OK();
+  if (own.has_value() && in_doubt_txn_ == committed) {
+    return client_->ApplyCommitted(*own, committed);
+  }
+  return client_->LoadSkeleton();
+}
+
+Status EncryptedXmlDatabase::CheckSkeletonCurrent() {
+  SSDB_ASSIGN_OR_RETURN(uint64_t committed, server_view_->CommittedVersion());
+  SSDB_ASSIGN_OR_RETURN(uint64_t held, client_->SkeletonVersion());
+  if (committed != held) {
+    return Status::StaleVersion(
+        "document is at version " + std::to_string(committed) +
+        ", the client's skeleton at version " + std::to_string(held));
+  }
+  return Status::OK();
+}
+
 StatusOr<QueryResult> EncryptedXmlDatabase::QueryParsed(
+    const query::Query& query, EngineKind engine, query::MatchMode mode) {
+  auto run = [&]() -> StatusOr<QueryResult> {
+    const uint64_t calls = client_->stats().server_calls;
+    StatusOr<QueryResult> result = RunQuery(query, engine, mode);
+    // A query answered from the skeleton alone sent no stamped request
+    // that a stale skeleton could be refused on, and an in-process stack
+    // stamps none; ask for the version. Versions only grow, so a match
+    // after the query means none moved since the skeleton was loaded,
+    // and a mismatch makes its answer or error stale.
+    if (!server_view_->StampsRequests() ||
+        client_->stats().server_calls == calls) {
+      Status current = CheckSkeletonCurrent();
+      if (!current.ok() && (result.ok() || current.IsStaleVersion())) {
+        return current;
+      }
+    }
+    return result;
+  };
+  // A refusal means another client committed since this skeleton was
+  // loaded: re-fetch it and rerun once (DESIGN.md §12).
+  StatusOr<QueryResult> result = run();
+  if (!result.status().IsStaleVersion()) return result;
+  SSDB_RETURN_IF_ERROR(client_->LoadSkeleton());
+  return run();
+}
+
+StatusOr<QueryResult> EncryptedXmlDatabase::RunQuery(
     const query::Query& query, EngineKind engine, query::MatchMode mode) {
   query::QueryEngine* chosen =
       engine == EngineKind::kSimple

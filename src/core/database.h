@@ -25,6 +25,7 @@
 #ifndef SSDB_CORE_DATABASE_H_
 #define SSDB_CORE_DATABASE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -127,7 +128,9 @@ class EncryptedXmlDatabase {
   StatusOr<MutationResult> Delete(uint32_t pre);
   // Drives any undecided prepared txn to a verdict: if some slice already
   // committed it, commit everywhere; otherwise abort everywhere. Safe to
-  // call when nothing is pending.
+  // call when nothing is pending. Leaves the skeleton at the settled
+  // version: this client's own in-doubt plan is applied to it, any other
+  // change is fetched.
   Status RecoverMutations();
 
   // Share-sum sanity probe: recovers the root's own tag through the
@@ -136,7 +139,8 @@ class EncryptedXmlDatabase {
   // answers. Resets the client's evaluation counters afterwards.
   Status ProbeShares();
 
-  // Parses and runs a query.
+  // Parses and runs a query. A StaleVersion refusal re-fetches the
+  // skeleton and reruns the query once (DESIGN.md §12).
   StatusOr<QueryResult> Query(std::string_view xpath, EngineKind engine,
                               query::MatchMode mode);
   StatusOr<QueryResult> QueryParsed(const query::Query& query,
@@ -208,13 +212,24 @@ class EncryptedXmlDatabase {
   // The one place a client stack is assembled: the server view is the
   // backend itself for one slice, a MultiServerFilter over all of them for
   // several; then the engines are built over it.
-  void AttachSlices(std::vector<filter::ServerFilter*> backends,
-                    const prg::Seed& seed);
+  Status AttachSlices(std::vector<filter::ServerFilter*> backends,
+                      const prg::Seed& seed);
   // LocalServerFilters over stores_, owned by backends_, in slice order.
   std::vector<filter::ServerFilter*> StoreBackends();
-  void BuildEngines(const prg::Seed& seed);
+  // Builds the client stack over server_view_ and loads the skeleton.
+  Status BuildEngines(const prg::Seed& seed);
   Status CheckMutable();
+  // Plans with `plan`, once more after a skeleton re-fetch if the planner
+  // found it stale, then drives the result.
+  StatusOr<MutationResult> Mutate(
+      const std::function<StatusOr<encode::PlannedMutation>()>& plan);
   StatusOr<MutationResult> DriveMutation(encode::PlannedMutation planned);
+  // Brings the skeleton to `committed` after recovery.
+  Status SettleSkeleton(uint64_t committed);
+  // StaleVersion unless the primary is at the skeleton's version.
+  Status CheckSkeletonCurrent();
+  StatusOr<QueryResult> RunQuery(const query::Query& query, EngineKind engine,
+                                 query::MatchMode mode);
 
   gf::Ring ring_;
   mapping::TagMap map_;
@@ -237,6 +252,10 @@ class EncryptedXmlDatabase {
   // Trie-encoded databases interleave character nodes the mutation planner
   // does not rebuild; mutations on them are rejected (DESIGN.md §12).
   bool trie_ = false;
+  // This client's last commit that failed part-way: its txn and slice 0's
+  // plan, applied to the skeleton if RecoverMutations commits it.
+  uint64_t in_doubt_txn_ = 0;
+  std::optional<storage::MutationPlan> in_doubt_plan_;
 };
 
 }  // namespace ssdb::core

@@ -37,8 +37,12 @@ struct Siblings {
 class Planner {
  public:
   Planner(const gf::Ring& ring, const mapping::TagMap& map,
-          const prg::Prg& prg, filter::ServerFilter* filter)
-      : ring_(ring), map_(map), prg_(prg), filter_(filter) {}
+          const prg::Prg& prg, filter::ClientFilter* client)
+      : ring_(ring),
+        map_(map),
+        prg_(prg),
+        client_(client),
+        filter_(client->server()) {}
 
   StatusOr<PlannedMutation> Update(uint32_t pre, std::string_view new_tag,
                                    const std::optional<std::string>& new_text);
@@ -80,7 +84,8 @@ class Planner {
   const gf::Ring& ring_;
   const mapping::TagMap& map_;
   const prg::Prg& prg_;
-  filter::ServerFilter* filter_;
+  filter::ClientFilter* client_;  // structure, off the skeleton
+  filter::ServerFilter* filter_;  // everything else
 };
 
 StatusOr<Planner::TxnContext> Planner::BeginPlan() {
@@ -108,6 +113,13 @@ StatusOr<Planner::TxnContext> Planner::BeginPlan() {
           "); recover before planning a new one");
     }
     ctx.next_nonce = std::max(ctx.next_nonce, states[i].next_nonce);
+  }
+  SSDB_ASSIGN_OR_RETURN(uint64_t skeleton_version, client_->SkeletonVersion());
+  if (skeleton_version != ctx.base_version) {
+    return Status::StaleVersion(
+        "document is at version " + std::to_string(ctx.base_version) +
+        ", the client's skeleton at version " +
+        std::to_string(skeleton_version));
   }
   return ctx;
 }
@@ -149,15 +161,13 @@ StatusOr<std::vector<agg::Word>> Planner::PlainColumns(const std::string& blob,
 }
 
 StatusOr<LoadedPath> Planner::LoadPath(uint32_t pre, size_t m) {
+  // The skeleton was validated when it was loaded: every parent precedes
+  // its child, so this walk reaches the root.
   std::vector<filter::NodeMeta> metas;
-  SSDB_ASSIGN_OR_RETURN(filter::NodeMeta meta, filter_->GetNode(pre));
+  SSDB_ASSIGN_OR_RETURN(filter::NodeMeta meta, client_->GetNode(pre));
   metas.push_back(meta);
   while (metas.back().parent != 0) {
-    SSDB_ASSIGN_OR_RETURN(meta, filter_->GetNode(metas.back().parent));
-    if (meta.pre >= metas.back().pre) {
-      return Status::Corruption(
-          "parent pointers do not form a rooted path (pre numbering broken)");
-    }
+    SSDB_ASSIGN_OR_RETURN(meta, client_->GetNode(metas.back().parent));
     metas.push_back(meta);
   }
   std::vector<uint32_t> pres;
@@ -188,14 +198,14 @@ StatusOr<LoadedPath> Planner::LoadPath(uint32_t pre, size_t m) {
     out.nodes.push_back(PathNode{metas[i], std::move(state), std::string()});
   }
   out.verify_db = !cols[0].verify.empty();
-  for (size_t i = 0; i < metas.size(); ++i) {
-    SSDB_ASSIGN_OR_RETURN(std::string sealed,
-                          filter_->FetchSealed(metas[i].pre));
-    if (i == 0) {
-      out.sealed_db = !sealed.empty();
-      if (!out.sealed_db) break;
-    }
-    std::string plain = prg_.UnsealPayload(metas[i].ShareNonce(), sealed);
+  SSDB_ASSIGN_OR_RETURN(std::vector<std::string> sealed,
+                        filter_->FetchSealedBatch(pres));
+  if (sealed.size() != metas.size()) {
+    return Status::Internal("sealed fetch returned the wrong count");
+  }
+  out.sealed_db = !sealed[0].empty();
+  for (size_t i = 0; out.sealed_db && i < metas.size(); ++i) {
+    std::string plain = prg_.UnsealPayload(metas[i].ShareNonce(), sealed[i]);
     if (plain.find('\n') == std::string::npos) {
       return Status::Corruption("sealed payload has no tag line (node " +
                                 std::to_string(metas[i].pre) + ")");
@@ -226,15 +236,12 @@ StatusOr<std::vector<gf::RingElem>> Planner::FetchPolys(
 
 StatusOr<Siblings> Planner::LoadSiblings(const LoadedPath& path,
                                          size_t start_level) {
-  std::vector<uint32_t> pres;
+  std::vector<filter::NodeMeta> levels;
   for (size_t j = start_level; j < path.nodes.size(); ++j) {
-    pres.push_back(path.nodes[j].meta.pre);
+    levels.push_back(path.nodes[j].meta);
   }
   SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<filter::NodeMeta>> lists,
-                        filter_->ChildrenBatch(pres));
-  if (lists.size() != pres.size()) {
-    return Status::Internal("children fetch returned the wrong count");
-  }
+                        client_->ChildrenBatch(levels));
   Siblings out;
   out.children.resize(path.nodes.size());
   for (size_t j = 0; j < lists.size(); ++j) {
@@ -546,25 +553,25 @@ StatusOr<PlannedMutation> Planner::Insert(uint32_t parent_pre,
 }  // namespace
 
 Mutator::Mutator(gf::Ring ring, const mapping::TagMap& map, prg::Prg prg,
-                 filter::ServerFilter* filter)
+                 filter::ClientFilter* client)
     : ring_(std::move(ring)),
       map_(map),
       prg_(std::move(prg)),
-      filter_(filter) {}
+      client_(client) {}
 
 StatusOr<PlannedMutation> Mutator::PlanUpdate(
     uint32_t pre, std::string_view new_tag,
     const std::optional<std::string>& new_text) {
-  return Planner(ring_, map_, prg_, filter_).Update(pre, new_tag, new_text);
+  return Planner(ring_, map_, prg_, client_).Update(pre, new_tag, new_text);
 }
 
 StatusOr<PlannedMutation> Mutator::PlanInsert(uint32_t parent_pre,
                                               std::string_view fragment_xml) {
-  return Planner(ring_, map_, prg_, filter_).Insert(parent_pre, fragment_xml);
+  return Planner(ring_, map_, prg_, client_).Insert(parent_pre, fragment_xml);
 }
 
 StatusOr<PlannedMutation> Mutator::PlanDelete(uint32_t pre) {
-  return Planner(ring_, map_, prg_, filter_).Delete(pre);
+  return Planner(ring_, map_, prg_, client_).Delete(pre);
 }
 
 }  // namespace ssdb::encode

@@ -6,10 +6,13 @@
 /// payload — and ships as one storage::MutationPlan per share slice, applied
 /// through the stores' two-phase prepare/commit protocol.
 ///
-/// The planner reads the document only through the ServerFilter view: root
-/// path metas, the path's column blobs (unmasked client-side with the PRG),
-/// and the polynomials of the path nodes' children, so planning costs
-/// O(subtree + Σ fanout along the path) server work — never O(document).
+/// The planner reads structure — the root path and the path nodes'
+/// children — off the client's skeleton (DESIGN.md §6), and the rest
+/// through the server view: the path's column blobs (unmasked client-side
+/// with the PRG) and sealed payloads, one batched exchange each, and the
+/// polynomials of the path nodes' children, so planning costs a fixed
+/// number of exchanges and O(subtree + Σ fanout along the path) server
+/// work — never O(document).
 
 #ifndef SSDB_ENCODE_RESHARE_H_
 #define SSDB_ENCODE_RESHARE_H_
@@ -20,7 +23,7 @@
 #include <string_view>
 #include <vector>
 
-#include "filter/server_filter.h"
+#include "filter/client_filter.h"
 #include "gf/ring.h"
 #include "mapping/tag_map.h"
 #include "prg/prg.h"
@@ -48,11 +51,14 @@ struct PlannedMutation {
 
 class Mutator {
  public:
-  // `map` and `filter` must outlive the mutator. `filter` is the client's
-  // server view — a fan-out for m > 1, whose MutationStates() tells the
-  // planner how many slices to build plans for.
+  // `map` and `client` must outlive the mutator. The client holds the
+  // skeleton the planner reads structure from; its server view — a fan-out
+  // for m > 1, whose MutationStates() tells the planner how many slices to
+  // build plans for — answers the rest. Planning against a skeleton whose
+  // version is not the slices' committed one answers StaleVersion, before
+  // any value request (DESIGN.md §12).
   Mutator(gf::Ring ring, const mapping::TagMap& map, prg::Prg prg,
-          filter::ServerFilter* filter);
+          filter::ClientFilter* client);
 
   // Re-tags node `pre` to `new_tag` (empty = keep the tag) and/or replaces
   // its text (sealed-content databases only). Re-shares the root path; when
@@ -77,7 +83,7 @@ class Mutator {
   gf::Ring ring_;
   const mapping::TagMap& map_;
   prg::Prg prg_;
-  filter::ServerFilter* filter_;
+  filter::ClientFilter* client_;
 };
 
 }  // namespace ssdb::encode

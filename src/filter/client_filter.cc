@@ -167,44 +167,77 @@ ClientFilter::ClientFilter(gf::Ring ring, prg::Prg prg, ServerFilter* server)
       prg_(std::move(prg)),
       server_(server) {}
 
-StatusOr<NodeMeta> ClientFilter::Root() {
+Status ClientFilter::LoadSkeleton() {
   TripScope trips(this);
   ++stats_.server_calls;
-  SSDB_ASSIGN_OR_RETURN(NodeMeta root, server_->Root());
-  ++stats_.nodes_visited;
-  return root;
+  SSDB_ASSIGN_OR_RETURN(skeleton_, SkeletonCache::Fetch(server_));
+  server_->StampVersion(skeleton_.version());
+  return Status::OK();
 }
 
-StatusOr<NodeMeta> ClientFilter::GetNode(uint32_t pre) {
-  TripScope trips(this);
-  ++stats_.server_calls;
-  SSDB_ASSIGN_OR_RETURN(NodeMeta node, server_->GetNode(pre));
-  ++stats_.nodes_visited;
+Status ClientFilter::EnsureSkeleton() {
+  return skeleton_.loaded() ? Status::OK() : LoadSkeleton();
+}
+
+StatusOr<uint64_t> ClientFilter::SkeletonVersion() {
+  SSDB_RETURN_IF_ERROR(EnsureSkeleton());
+  return skeleton_.version();
+}
+
+Status ClientFilter::ApplyCommitted(const storage::MutationPlan& plan,
+                                    uint64_t version) {
+  if (skeleton_.loaded() && skeleton_.version() + 1 == version &&
+      skeleton_.Apply(plan, version).ok()) {
+    server_->StampVersion(version);
+    return Status::OK();
+  }
+  return LoadSkeleton();
+}
+
+StatusOr<const NodeMeta*> ClientFilter::Lookup(uint32_t pre) const {
+  const NodeMeta* node = skeleton_.Find(pre);
+  if (node == nullptr) {
+    return Status::NotFound("no node with pre " + std::to_string(pre) +
+                            " at document version " +
+                            std::to_string(skeleton_.version()));
+  }
   return node;
 }
 
+StatusOr<NodeMeta> ClientFilter::Root() {
+  SSDB_RETURN_IF_ERROR(EnsureSkeleton());
+  ++stats_.nodes_visited;
+  return skeleton_.root();
+}
+
+StatusOr<NodeMeta> ClientFilter::GetNode(uint32_t pre) {
+  SSDB_RETURN_IF_ERROR(EnsureSkeleton());
+  SSDB_ASSIGN_OR_RETURN(const NodeMeta* node, Lookup(pre));
+  ++stats_.nodes_visited;
+  return *node;
+}
+
 StatusOr<std::vector<NodeMeta>> ClientFilter::Children(const NodeMeta& node) {
-  TripScope trips(this);
-  ++stats_.server_calls;
-  SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> children,
-                        server_->Children(node.pre));
-  stats_.nodes_visited += children.size();
-  return children;
+  SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<NodeMeta>> lists,
+                        ChildrenBatch({node}));
+  return std::move(lists[0]);
+}
+
+StatusOr<std::vector<std::vector<NodeMeta>>> ClientFilter::ChildLists(
+    const std::vector<NodeMeta>& nodes) {
+  SSDB_RETURN_IF_ERROR(EnsureSkeleton());
+  std::vector<std::vector<NodeMeta>> lists(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    SSDB_RETURN_IF_ERROR(Lookup(nodes[i].pre).status());
+    skeleton_.AppendChildren(nodes[i].pre, &lists[i]);
+  }
+  return lists;
 }
 
 StatusOr<std::vector<std::vector<NodeMeta>>> ClientFilter::ChildrenBatch(
     const std::vector<NodeMeta>& nodes) {
-  if (nodes.empty()) return std::vector<std::vector<NodeMeta>>{};
-  TripScope trips(this);
-  ++stats_.server_calls;
-  std::vector<uint32_t> pres;
-  pres.reserve(nodes.size());
-  for (const NodeMeta& node : nodes) pres.push_back(node.pre);
   SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<NodeMeta>> lists,
-                        server_->ChildrenBatch(pres));
-  if (lists.size() != nodes.size()) {
-    return Status::Internal("ChildrenBatch size mismatch");
-  }
+                        ChildLists(nodes));
   for (const auto& list : lists) stats_.nodes_visited += list.size();
   return lists;
 }
@@ -219,17 +252,12 @@ StatusOr<std::vector<NodeMeta>> ClientFilter::Parents(
   std::sort(pres.begin(), pres.end());
   pres.erase(std::unique(pres.begin(), pres.end()), pres.end());
   if (pres.empty()) return std::vector<NodeMeta>{};
-  TripScope trips(this);
-  ++stats_.server_calls;
-  SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> parents,
-                        server_->NodesBatch(pres));
-  if (parents.size() != pres.size()) {
-    return Status::Corruption("NodesBatch size mismatch");
-  }
-  for (size_t i = 0; i < pres.size(); ++i) {
-    if (parents[i].pre != pres[i]) {
-      return Status::Corruption("NodesBatch answered the wrong node");
-    }
+  SSDB_RETURN_IF_ERROR(EnsureSkeleton());
+  std::vector<NodeMeta> parents;
+  parents.reserve(pres.size());
+  for (uint32_t pre : pres) {
+    SSDB_ASSIGN_OR_RETURN(const NodeMeta* parent, Lookup(pre));
+    parents.push_back(*parent);
   }
   stats_.nodes_visited += parents.size();
   return parents;
@@ -237,42 +265,27 @@ StatusOr<std::vector<NodeMeta>> ClientFilter::Parents(
 
 StatusOr<std::vector<NodeMeta>> ClientFilter::DescendantsBatch(
     const std::vector<NodeMeta>& nodes) {
-  const std::vector<NodeMeta> roots = CoveringSet(nodes);
   std::vector<NodeMeta> all;
-  if (roots.empty()) return all;
-  TripScope trips(this);
-  uint32_t resume_after = 0;
-  // A request carries only the roots whose subtrees may still hold unread
-  // nodes, at most kDescendantsPage of them: roots[first, last).
-  size_t first = 0;
-  while (first < roots.size()) {
-    const size_t last = std::min(first + kDescendantsPage, roots.size());
-    ++stats_.server_calls;
-    SSDB_ASSIGN_OR_RETURN(
-        std::vector<NodeMeta> page,
-        server_->DescendantsBatch(
-            {roots.begin() + first, roots.begin() + last}, resume_after));
-    // Pages must advance strictly in pre order; anything else would repeat
-    // nodes or never end.
-    if (page.size() > kDescendantsPage) {
-      return Status::Corruption("DescendantsBatch page exceeds its limit");
-    }
-    for (const NodeMeta& node : page) {
-      if (node.pre <= resume_after) {
-        return Status::Corruption("DescendantsBatch page out of order");
-      }
-      resume_after = node.pre;
-    }
-    stats_.nodes_visited += page.size();
-    all.insert(all.end(), page.begin(), page.end());
-    if (page.size() < kDescendantsPage) {
-      first = last;  // a short page drains every root it was sent
-    } else {
-      // Covering roots are disjoint and sorted, so only the last root at
-      // or before the resume point can still be open.
-      while (first + 1 < last && roots[first + 1].pre <= resume_after) ++first;
-    }
+  if (nodes.empty()) return all;
+  SSDB_RETURN_IF_ERROR(EnsureSkeleton());
+  std::vector<uint32_t> pres;
+  pres.reserve(nodes.size());
+  for (const NodeMeta& node : nodes) {
+    SSDB_RETURN_IF_ERROR(Lookup(node.pre).status());
+    pres.push_back(node.pre);
   }
+  std::sort(pres.begin(), pres.end());
+  // A node's descendants are the pres right after it up to its last
+  // descendant; `next` skips what a nesting or repeated node already gave.
+  uint32_t next = 0;
+  for (uint32_t pre : pres) {
+    const uint32_t last = skeleton_.LastDescendant(pre);
+    for (uint32_t d = std::max(next, pre + 1); d <= last; ++d) {
+      all.push_back(*skeleton_.Find(d));
+    }
+    next = std::max(next, last + 1);
+  }
+  stats_.nodes_visited += all.size();
   return all;
 }
 
@@ -623,16 +636,9 @@ StatusOr<std::vector<gf::Elem>> ClientFilter::RecoverOwnValueBatch(
   TripScope trips(this);
   stats_.equality_tests += nodes.size();
 
-  // Exchange 1: children of every candidate.
-  ++stats_.server_calls;
-  std::vector<uint32_t> pres;
-  pres.reserve(nodes.size());
-  for (const NodeMeta& node : nodes) pres.push_back(node.pre);
+  // The children of every candidate, off the skeleton.
   SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<NodeMeta>> child_lists,
-                        server_->ChildrenBatch(pres));
-  if (child_lists.size() != nodes.size()) {
-    return Status::Internal("ChildrenBatch size mismatch");
-  }
+                        ChildLists(nodes));
 
   // Each candidate's path is fixed from public data before any reply is
   // seen (DESIGN.md §3): whole vectors in full-verification mode and for
@@ -645,7 +651,7 @@ StatusOr<std::vector<gf::Elem>> ClientFilter::RecoverOwnValueBatch(
     (full_verification_ || nodes[i].parent == 0 ? whole : grid).push_back(i);
   }
   std::vector<gf::Elem> out(nodes.size(), 0);
-  // Exchange 2: the grid. A candidate whose child product vanished at
+  // Exchange 1: the grid. A candidate whose child product vanished at
   // every drawn point falls back to whole vectors, the one path a reply
   // chooses.
   if (!grid.empty()) {
@@ -653,7 +659,7 @@ StatusOr<std::vector<gf::Elem>> ClientFilter::RecoverOwnValueBatch(
                           RecoverAtGrid(nodes, child_lists, grid, &out));
     whole.insert(whole.end(), vanished.begin(), vanished.end());
   }
-  // Exchange 3: whole vectors, one fetch for every candidate that needs
+  // Exchange 2: whole vectors, one fetch for every candidate that needs
   // them.
   if (!whole.empty()) {
     SSDB_RETURN_IF_ERROR(RecoverFromShares(nodes, child_lists, whole, &out));

@@ -11,6 +11,13 @@
 ///    the remaining monomial is (x - map(tag)). Cost grows with the number
 ///    of children.
 ///
+/// Structure is public (paper §5.2): the filter holds the document's
+/// skeleton — pre/post/parent/nonce of every node, fetched once per
+/// committed version (filter/skeleton.h) — and answers the root, children,
+/// parents and descendants from it without a server exchange. Value
+/// requests are stamped with the skeleton's version; a server at another
+/// version refuses them (DESIGN.md §12).
+///
 /// The batch entry points are the primary path (DESIGN.md §6): they
 /// regenerate the client shares for a whole candidate set and issue one
 /// joint server exchange, so a query step costs O(1) round trips instead of
@@ -26,6 +33,7 @@
 #include <vector>
 
 #include "filter/server_filter.h"
+#include "filter/skeleton.h"
 #include "gf/dft.h"
 #include "gf/ring.h"
 #include "prg/prg.h"
@@ -78,20 +86,34 @@ class ClientFilter {
   // `server` must outlive the filter. The PRG embeds the secret seed.
   ClientFilter(gf::Ring ring, prg::Prg prg, ServerFilter* server);
 
-  // --- Navigation (structure is public; calls are counted) ---
+  // --- The public skeleton (DESIGN.md §6, §12) ---
+  // Fetches and validates the whole skeleton (one exchange per
+  // kSkeletonPage nodes), replaces the held one, and stamps later value
+  // requests with its version. The facade calls it at open and after a
+  // StaleVersion refusal; the navigation calls below load it on first use.
+  Status LoadSkeleton();
+  // The held skeleton's document version, loading it on first use.
+  StatusOr<uint64_t> SkeletonVersion();
+  // Applies a mutation this client committed as `version` to the held
+  // skeleton — the plan's erase window, shift and upserts — with no
+  // exchange. A skeleton not at version - 1 is fetched instead.
+  Status ApplyCommitted(const storage::MutationPlan& plan, uint64_t version);
+  const SkeletonCache& skeleton() const { return skeleton_; }
+  ServerFilter* server() { return server_; }
+
+  // --- Navigation (answered from the skeleton, O(output)) ---
+  // A node the skeleton does not hold is NotFound.
   StatusOr<NodeMeta> Root();
   StatusOr<NodeMeta> GetNode(uint32_t pre);
   StatusOr<std::vector<NodeMeta>> Children(const NodeMeta& node);
-  // Children of every node in one server exchange; out[i] belongs to
-  // nodes[i].
+  // Children of every node; out[i] belongs to nodes[i].
   StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
       const std::vector<NodeMeta>& nodes);
-  // The distinct parents of `nodes`, sorted by pre, in one server exchange
-  // (a whole '..' step). The root has no parent and drops out; any server
-  // failure is returned, never a short answer.
+  // The distinct parents of `nodes`, sorted by pre (a whole '..' step).
+  // The root has no parent and drops out.
   StatusOr<std::vector<NodeMeta>> Parents(const std::vector<NodeMeta>& nodes);
   // The union of the nodes' proper descendants, each once, in pre order:
-  // one server exchange per kDescendantsPage nodes (or covering roots).
+  // a contiguous pre range per outermost node.
   StatusOr<std::vector<NodeMeta>> DescendantsBatch(
       const std::vector<NodeMeta>& nodes);
 
@@ -133,11 +155,11 @@ class ClientFilter {
   StatusOr<std::vector<uint8_t>> EqualsValueBatch(
       const std::vector<NodeMeta>& nodes, gf::Elem t);
   // Recovers each node's own mapped tag value (the equality test's core,
-  // DESIGN.md §3). Two server exchanges for the whole set: the children,
-  // then a grid of node and children at kGridPoints fresh random points.
-  // Whole vectors cost one more: they serve full-verification mode, the
-  // document root, and any node whose child product vanishes at every
-  // drawn point.
+  // DESIGN.md §3). One server exchange for the whole set: a grid of node
+  // and children (read off the skeleton) at kGridPoints fresh random
+  // points. Whole vectors cost one more: they serve full-verification
+  // mode, the document root, and any node whose child product vanishes at
+  // every drawn point.
   StatusOr<std::vector<gf::Elem>> RecoverOwnValueBatch(
       const std::vector<NodeMeta>& nodes);
 
@@ -222,6 +244,14 @@ class ClientFilter {
     double straggler_before_ = 0;
   };
 
+  // Loads the skeleton unless one is held.
+  Status EnsureSkeleton();
+  // The skeleton's row for `pre`, or NotFound.
+  StatusOr<const NodeMeta*> Lookup(uint32_t pre) const;
+  // Children of every node from the skeleton, without touching stats.
+  StatusOr<std::vector<std::vector<NodeMeta>>> ChildLists(
+      const std::vector<NodeMeta>& nodes);
+
   // eval(client_share(node), t) against t's power table — the share is
   // regenerated from the PRG (keyed by the node's share nonce, DESIGN.md
   // §12), never stored.
@@ -253,6 +283,7 @@ class ClientFilter {
   gf::Evaluator evaluator_;
   prg::Prg prg_;
   ServerFilter* server_;
+  SkeletonCache skeleton_;
   EvalStats stats_;
   bool full_verification_ = false;
   uint64_t grid_requests_ = 0;  // grids drawn so far (DrawGridPoints)

@@ -221,6 +221,34 @@ StatusOr<std::vector<NodeMeta>> MultiServerFilter::NodesBatch(
   return out;
 }
 
+StatusOr<SkeletonPage> MultiServerFilter::Skeleton(uint32_t after_pre) {
+  StatusOr<SkeletonPage> out = Status::Internal("unset");
+  SSDB_RETURN_IF_ERROR(Primary([&] {
+    out = backends_[0]->Skeleton(after_pre);
+    return Blame(0, out.status());
+  }));
+  return out;
+}
+
+StatusOr<uint64_t> MultiServerFilter::CommittedVersion() {
+  StatusOr<uint64_t> out = Status::Internal("unset");
+  SSDB_RETURN_IF_ERROR(Primary([&] {
+    out = backends_[0]->CommittedVersion();
+    return Blame(0, out.status());
+  }));
+  return out;
+}
+
+void MultiServerFilter::StampVersion(uint64_t version) {
+  for (ServerFilter* backend : backends_) backend->StampVersion(version);
+}
+
+bool MultiServerFilter::StampsRequests() const {
+  return std::all_of(
+      backends_.begin(), backends_.end(),
+      [](const ServerFilter* backend) { return backend->StampsRequests(); });
+}
+
 StatusOr<uint64_t> MultiServerFilter::OpenDescendantCursor(uint32_t pre,
                                                            uint32_t post) {
   StatusOr<uint64_t> out = Status::Internal("unset");
@@ -249,6 +277,16 @@ StatusOr<std::string> MultiServerFilter::FetchSealed(uint32_t pre) {
   StatusOr<std::string> out = Status::Internal("unset");
   SSDB_RETURN_IF_ERROR(Primary([&] {
     out = backends_[0]->FetchSealed(pre);
+    return out.status();
+  }));
+  return out;
+}
+
+StatusOr<std::vector<std::string>> MultiServerFilter::FetchSealedBatch(
+    const std::vector<uint32_t>& pres) {
+  StatusOr<std::vector<std::string>> out = Status::Internal("unset");
+  SSDB_RETURN_IF_ERROR(Primary([&] {
+    out = backends_[0]->FetchSealedBatch(pres);
     return out.status();
   }));
   return out;

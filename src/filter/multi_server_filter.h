@@ -4,10 +4,10 @@
 /// extra backend, the primary served on the calling thread — and the
 /// replies are summed (field sum for evaluations, ring sum for shares), which
 /// reconstructs the single-server answer because the additive split
-/// commutes with evaluation. Structure operations (navigation, cursors,
-/// sealed payloads) go to the primary (backend 0) alone: pre/post/parent
-/// are replicated to every slice store, so any backend could serve them,
-/// and asking one keeps them a single round trip.
+/// commutes with evaluation. Structure operations (the skeleton,
+/// navigation, cursors, sealed payloads) go to the primary (backend 0)
+/// alone: pre/post/parent are replicated to every slice store, so any
+/// backend could serve them, and asking one keeps them a single round trip.
 ///
 /// Round-trip accounting uses straggler semantics: a concurrent fan-out
 /// costs one step of latency, so RoundTrips() advances by the *maximum*
@@ -67,12 +67,23 @@ class MultiServerFilter : public ServerFilter {
       uint32_t resume_after) override;
   StatusOr<std::vector<NodeMeta>> NodesBatch(
       const std::vector<uint32_t>& pres) override;
+  // The skeleton (DESIGN.md §6) is replicated on every slice; the primary
+  // serves it and a failure is tagged "server 0:".
+  StatusOr<SkeletonPage> Skeleton(uint32_t after_pre) override;
+  // The primary's version; the skeleton comes from the primary too.
+  StatusOr<uint64_t> CommittedVersion() override;
+  // Every backend stamps its value requests (DESIGN.md §12).
+  void StampVersion(uint64_t version) override;
+  // True when every backend stamps its requests.
+  bool StampsRequests() const override;
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override;
   StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t cursor,
                                             size_t max_batch) override;
   Status CloseCursor(uint64_t cursor) override;
   StatusOr<std::string> FetchSealed(uint32_t pre) override;
+  StatusOr<std::vector<std::string>> FetchSealedBatch(
+      const std::vector<uint32_t>& pres) override;
   StatusOr<uint64_t> NodeCount() override;
   // Column blobs live on slice 0 alongside the sealed payloads; the mutation
   // planner unmasks them with the other slices' PRG streams (DESIGN.md §12).

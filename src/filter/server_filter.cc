@@ -120,6 +120,44 @@ StatusOr<std::vector<NodeMeta>> ServerFilter::NodesBatch(
   return out;
 }
 
+StatusOr<SkeletonPage> ServerFilter::Skeleton(uint32_t after_pre) {
+  SSDB_ASSIGN_OR_RETURN(uint64_t version, CommittedVersion());
+  SSDB_ASSIGN_OR_RETURN(NodeMeta root, Root());
+  SkeletonPage page;
+  if (after_pre < root.pre) page.nodes.push_back(root);
+  SSDB_ASSIGN_OR_RETURN(
+      std::vector<NodeMeta> rest,
+      DescendantsBatch({root}, std::max(root.pre, after_pre)));
+  const size_t room = kSkeletonPage - page.nodes.size();
+  if (rest.size() > room) rest.resize(room);
+  page.nodes.insert(page.nodes.end(), rest.begin(), rest.end());
+  // A commit between the reads would mix two versions in one page.
+  SSDB_ASSIGN_OR_RETURN(page.version, CommittedVersion());
+  if (page.version != version) {
+    return Status::Unavailable("document changed during the skeleton read");
+  }
+  return page;
+}
+
+StatusOr<uint64_t> ServerFilter::CommittedVersion() {
+  StatusOr<std::vector<storage::MutationState>> states = MutationStates();
+  if (states.status().code() == StatusCode::kUnimplemented) return 0;
+  SSDB_RETURN_IF_ERROR(states.status());
+  if (states->empty()) return Status::Internal("no mutation state reported");
+  return (*states)[0].version;
+}
+
+StatusOr<std::vector<std::string>> ServerFilter::FetchSealedBatch(
+    const std::vector<uint32_t>& pres) {
+  std::vector<std::string> out;
+  out.reserve(pres.size());
+  for (uint32_t pre : pres) {
+    SSDB_ASSIGN_OR_RETURN(std::string sealed, FetchSealed(pre));
+    out.push_back(std::move(sealed));
+  }
+  return out;
+}
+
 StatusOr<std::vector<gf::Elem>> ServerFilter::EvalGrid(
     const std::vector<uint32_t>& pres, const std::vector<gf::Elem>& points) {
   SSDB_RETURN_IF_ERROR(ValidateGrid(pres.size(), points));
@@ -204,6 +242,35 @@ StatusOr<std::vector<NodeMeta>> LocalServerFilter::NodesBatch(
         pre, [&](const storage::NodeRow& row) { out.push_back(MetaOf(row)); }));
   }
   return out;
+}
+
+StatusOr<SkeletonPage> LocalServerFilter::Skeleton(uint32_t after_pre) {
+  CountTrip();
+  SSDB_ASSIGN_OR_RETURN(uint64_t version, CommittedVersion());
+  SSDB_ASSIGN_OR_RETURN(storage::NodeRow root, store_->GetRoot());
+  SkeletonPage page;
+  if (after_pre < root.pre) page.nodes.push_back(MetaOf(root));
+  if (page.nodes.size() < kSkeletonPage) {
+    SSDB_RETURN_IF_ERROR(store_->ScanDescendants(
+        std::max(root.pre, after_pre), root.post,
+        [&](const storage::NodeRow& row) {
+          page.nodes.push_back(MetaOf(row));
+          return page.nodes.size() < kSkeletonPage;
+        }));
+  }
+  // A commit between the reads would mix two versions in one page.
+  SSDB_ASSIGN_OR_RETURN(page.version, CommittedVersion());
+  if (page.version != version) {
+    return Status::Unavailable("document changed during the skeleton read");
+  }
+  return page;
+}
+
+StatusOr<uint64_t> LocalServerFilter::CommittedVersion() {
+  StatusOr<storage::MutationState> state = store_->GetMutationState();
+  if (state.status().code() == StatusCode::kUnimplemented) return 0;
+  SSDB_RETURN_IF_ERROR(state.status());
+  return state->version;
 }
 
 StatusOr<uint64_t> LocalServerFilter::OpenDescendantCursor(uint32_t pre,
@@ -552,6 +619,18 @@ StatusOr<std::string> LocalServerFilter::FetchSealed(uint32_t pre) {
   SSDB_RETURN_IF_ERROR(store_->VisitByPre(
       pre, [&](const storage::NodeRow& row) { sealed = row.sealed; }));
   return sealed;
+}
+
+StatusOr<std::vector<std::string>> LocalServerFilter::FetchSealedBatch(
+    const std::vector<uint32_t>& pres) {
+  CountTrip();
+  std::vector<std::string> out;
+  out.reserve(pres.size());
+  for (uint32_t pre : pres) {
+    SSDB_RETURN_IF_ERROR(store_->VisitByPre(
+        pre, [&](const storage::NodeRow& row) { out.push_back(row.sealed); }));
+  }
+  return out;
 }
 
 StatusOr<uint64_t> LocalServerFilter::NodeCount() {

@@ -62,9 +62,21 @@ inline NodeMeta MetaOf(const storage::NodeRow& row) {
 // subtrees left are disjoint and their union is unchanged.
 std::vector<NodeMeta> CoveringSet(std::vector<NodeMeta> nodes);
 
-// Most nodes one DescendantsBatch page carries, and most roots the client
-// puts in one request (DESIGN.md §6), so both frames stay bounded.
+// Most nodes one DescendantsBatch page carries (DESIGN.md §6), so a reply
+// frame stays bounded.
 inline constexpr size_t kDescendantsPage = 8192;
+
+// Most rows one Skeleton page carries (DESIGN.md §6), so a page stays a
+// bounded frame whatever the document size.
+inline constexpr size_t kSkeletonPage = kDescendantsPage;
+
+// One page of the public skeleton (DESIGN.md §6, §11): the structure rows
+// after some pre, in pre order, and the committed document version the
+// slice answered at (DESIGN.md §12).
+struct SkeletonPage {
+  std::vector<NodeMeta> nodes;
+  uint64_t version = 0;
+};
 
 // Point grids (DESIGN.md §3, §6). A grid asks for every pre at every point;
 // its points are distinct, non-zero and at most kMaxGridPoints (F_q has at
@@ -110,10 +122,12 @@ class ServerFilter {
                                                     size_t max_batch) = 0;
   virtual Status CloseCursor(uint64_t cursor) = 0;
 
-  // Stateless set-at-a-time structure reads (DESIGN.md §6): one exchange
-  // serves a whole query step. The defaults are built from the calls above,
-  // so a decorator that forwards only those still answers them;
-  // LocalServerFilter overrides both with one store pass per root or pre.
+  // Stateless set-at-a-time structure reads (DESIGN.md §6). The client
+  // answers structure from its skeleton and no longer sends them; the
+  // skeleton's default body pages through DescendantsBatch. The defaults
+  // are built from the calls above, so a decorator that forwards only
+  // those still answers them; LocalServerFilter overrides both with one
+  // store pass per root or pre.
   //
   // The union of the roots' proper descendants in pre order, each node
   // once: the page of at most kDescendantsPage nodes whose pres follow
@@ -123,6 +137,28 @@ class ServerFilter {
   // The nodes at `pres`; out[i] is node pres[i]. NotFound if any is absent.
   virtual StatusOr<std::vector<NodeMeta>> NodesBatch(
       const std::vector<uint32_t>& pres);
+
+  // The public skeleton, paged (DESIGN.md §6): the page of at most
+  // kSkeletonPage nodes whose pres follow `after_pre`, in pre order, with
+  // the slice's committed document version. Stateless; a shorter page is
+  // the last. The client fetches it once per version and answers every
+  // structure step from it. The default is built from Root and
+  // DescendantsBatch, so a decorator that forwards only those still
+  // answers it; LocalServerFilter reads the rows in one scan.
+  virtual StatusOr<SkeletonPage> Skeleton(uint32_t after_pre);
+  // The slice's committed document version (DESIGN.md §12). A value
+  // request stamped with another version is refused with StaleVersion.
+  // The default reads MutationStates(); a filter without mutations is at
+  // version 0.
+  virtual StatusOr<uint64_t> CommittedVersion();
+  // Client stubs stamp every later value request with `version`, the
+  // client's skeleton version (DESIGN.md §12); a server at another version
+  // refuses it. A no-op for in-process filters, which carry no requests.
+  virtual void StampVersion(uint64_t version) { (void)version; }
+  // Whether every value request this filter sends carries the stamp, so a
+  // server refuses it at another version. False for in-process filters:
+  // their client checks CommittedVersion() after each query instead.
+  virtual bool StampsRequests() const { return false; }
 
   // Session-scoped cursor entry points used by the concurrent transport
   // (DESIGN.md §7): a cursor is only visible to the session that opened it.
@@ -213,6 +249,11 @@ class ServerFilter {
   // Sealed payload bytes (ciphertext; §4 extension). Empty when the
   // database was encoded without sealing.
   virtual StatusOr<std::string> FetchSealed(uint32_t pre) = 0;
+  // Sealed payloads of many nodes in one round trip; out[i] belongs to
+  // pres[i]. The mutation planner reads its root path this way (DESIGN.md
+  // §12). The default loops FetchSealed.
+  virtual StatusOr<std::vector<std::string>> FetchSealedBatch(
+      const std::vector<uint32_t>& pres);
 
   // --- Mutations (DESIGN.md §12) --------------------------------------------
   // Two-phase secret-shared INSERT/UPDATE/DELETE. The coordinator (the
@@ -290,6 +331,10 @@ class LocalServerFilter : public ServerFilter {
       const std::vector<NodeMeta>& roots, uint32_t resume_after) override;
   StatusOr<std::vector<NodeMeta>> NodesBatch(
       const std::vector<uint32_t>& pres) override;
+  StatusOr<SkeletonPage> Skeleton(uint32_t after_pre) override;
+  // Read off the store without counting a trip: the transport asks it
+  // once per stamped value request.
+  StatusOr<uint64_t> CommittedVersion() override;
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override;
   StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t cursor,
@@ -319,6 +364,8 @@ class LocalServerFilter : public ServerFilter {
   StatusOr<std::vector<agg::VerifiedPartial>> PartialAggregateVerified(
       const agg::Spec& spec) override;
   StatusOr<std::string> FetchSealed(uint32_t pre) override;
+  StatusOr<std::vector<std::string>> FetchSealedBatch(
+      const std::vector<uint32_t>& pres) override;
   StatusOr<std::vector<storage::MutationState>> MutationStates() override;
   Status PrepareMutation(
       uint64_t txn,

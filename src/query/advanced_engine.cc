@@ -67,7 +67,7 @@ StatusOr<std::vector<NodeMeta>> AdvancedEngine::RunSteps(
     if (absent) return std::vector<NodeMeta>{};
 
     if (step.kind == Step::Kind::kParent) {
-      // One exchange for the whole set; the root drops out.
+      // Off the skeleton for the whole set; the root drops out.
       SSDB_ASSIGN_OR_RETURN(candidates, filter_->Parents(candidates));
       continue;
     }
@@ -81,8 +81,8 @@ StatusOr<std::vector<NodeMeta>> AdvancedEngine::RunSteps(
 
     std::vector<NodeMeta> next;
     if (step.axis == Step::Axis::kChild) {
-      // Step-level batching: expand the whole candidate set in one
-      // exchange, name-test the pool in one batch, then apply the
+      // Step-level batching: expand the whole candidate set off the
+      // skeleton, name-test the pool in one batch, then apply the
       // look-ahead to the survivors (one grid for all remaining values).
       std::vector<NodeMeta> pool;
       if (first && from_document_root) {
@@ -169,9 +169,10 @@ Status AdvancedEngine::DescendantSearch(
     const std::vector<gf::Elem>& lookahead, MatchMode mode,
     QueryStats* stats, std::vector<NodeMeta>* out) {
   // Walk downwards level by level while subtrees still contain `value`
-  // (§5.3 "//city"). Each level is three batched exchanges — children,
-  // containment, look-ahead (plus equality in strict mode) — so the cost in
-  // round trips is bounded by the tree depth, never the branch count.
+  // (§5.3 "//city"). Each level's children come off the skeleton, then two
+  // batched exchanges — containment, look-ahead (plus equality in strict
+  // mode) — so the cost in round trips is bounded by the tree depth, never
+  // the branch count.
   std::vector<NodeMeta> frontier = roots;
   internal::Canonicalize(&frontier);
   while (!frontier.empty()) {

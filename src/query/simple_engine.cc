@@ -35,8 +35,8 @@ StatusOr<std::vector<NodeMeta>> SimpleEngine::RunSteps(
     const Step& step = steps[i];
     bool first = (i == 0);
 
-    // 1. Structural expansion: one exchange for the whole candidate set
-    // (one per kDescendantsPage nodes for '//').
+    // 1. Structural expansion, off the client's skeleton: no exchange
+    // (DESIGN.md §6).
     if (step.kind == Step::Kind::kParent) {
       // The root has no parent and drops out; no name filtering on '..'.
       SSDB_ASSIGN_OR_RETURN(candidates, filter_->Parents(candidates));

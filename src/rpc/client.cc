@@ -16,7 +16,8 @@ StatusOr<PingInfo> Ping(Channel* channel) {
   return DecodePingInfo(payload);
 }
 
-StatusOr<std::string> RemoteServerFilter::Call(const Request& request) {
+StatusOr<std::string> RemoteServerFilter::Call(Request& request) {
+  if (CarriesVersion(request.op)) request.version = stamp_;
   SSDB_RETURN_IF_ERROR(channel_->Send(EncodeRequest(request)));
   ++round_trips_;
   SSDB_ASSIGN_OR_RETURN(std::string response, channel_->Receive());
@@ -86,6 +87,20 @@ StatusOr<std::vector<filter::NodeMeta>> RemoteServerFilter::NodesBatch(
     all.insert(all.end(), chunk.begin(), chunk.end());
   }
   return all;
+}
+
+StatusOr<filter::SkeletonPage> RemoteServerFilter::Skeleton(
+    uint32_t after_pre) {
+  Request request;
+  request.op = Op::kSkeleton;
+  request.pre = after_pre;
+  SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
+  std::string_view view = payload;
+  filter::SkeletonPage page;
+  SSDB_RETURN_IF_ERROR(GetVarint64(&view, &page.version));
+  SSDB_ASSIGN_OR_RETURN(page.nodes, ConsumeNodeMetas(&view));
+  if (!view.empty()) return Status::Corruption("trailing bytes in skeleton");
+  return page;
 }
 
 StatusOr<uint64_t> RemoteServerFilter::OpenDescendantCursor(uint32_t pre,
@@ -330,6 +345,26 @@ StatusOr<std::string> RemoteServerFilter::FetchSealed(uint32_t pre) {
   std::string_view sealed;
   SSDB_RETURN_IF_ERROR(GetLengthPrefixed(&view, &sealed));
   return std::string(sealed);
+}
+
+StatusOr<std::vector<std::string>> RemoteServerFilter::FetchSealedBatch(
+    const std::vector<uint32_t>& pres) {
+  std::vector<std::string> all;
+  all.reserve(pres.size());
+  for (size_t begin = 0; begin < pres.size(); begin += kSealedChunk) {
+    size_t end = std::min(begin + kSealedChunk, pres.size());
+    Request request;
+    request.op = Op::kFetchSealedBatch;
+    request.pres.assign(pres.begin() + begin, pres.begin() + end);
+    SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
+    std::string_view view = payload;
+    for (size_t i = begin; i < end; ++i) {
+      std::string_view sealed;
+      SSDB_RETURN_IF_ERROR(GetLengthPrefixed(&view, &sealed));
+      all.emplace_back(sealed);
+    }
+  }
+  return all;
 }
 
 StatusOr<uint64_t> RemoteServerFilter::NodeCount() {

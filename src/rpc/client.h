@@ -9,6 +9,7 @@
 #define SSDB_RPC_CLIENT_H_
 
 #include <memory>
+#include <optional>
 
 #include "filter/server_filter.h"
 #include "gf/ring.h"
@@ -38,6 +39,10 @@ class RemoteServerFilter : public filter::ServerFilter {
   // Streams pres in chunks of kChildrenChunk, like ChildrenBatch.
   StatusOr<std::vector<filter::NodeMeta>> NodesBatch(
       const std::vector<uint32_t>& pres) override;
+  StatusOr<filter::SkeletonPage> Skeleton(uint32_t after_pre) override;
+  // Stamps every later value request (DESIGN.md §12).
+  void StampVersion(uint64_t version) override { stamp_ = version; }
+  bool StampsRequests() const override { return true; }
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override;
   StatusOr<std::vector<filter::NodeMeta>> NextNodes(uint64_t cursor,
@@ -65,6 +70,8 @@ class RemoteServerFilter : public filter::ServerFilter {
   StatusOr<std::vector<agg::VerifiedPartial>> PartialAggregateVerified(
       const agg::Spec& spec) override;
   StatusOr<std::string> FetchSealed(uint32_t pre) override;
+  StatusOr<std::vector<std::string>> FetchSealedBatch(
+      const std::vector<uint32_t>& pres) override;
   StatusOr<uint64_t> NodeCount() override;
   // Mutations (DESIGN.md §12): this stub serves one slice, so
   // MutationStates() returns one entry and PrepareMutation accepts exactly
@@ -94,14 +101,17 @@ class RemoteServerFilter : public filter::ServerFilter {
   static constexpr size_t kChildrenChunk = 8192;
   static constexpr size_t kAggChunk = 32768;    // frontier pres per frame
   static constexpr size_t kColumnsChunk = 256;  // column blobs are wide (§12)
+  static constexpr size_t kSealedChunk = 1024;  // sealed payloads per frame
 
  private:
-  // Sends one request and returns the response payload.
-  StatusOr<std::string> Call(const Request& request);
+  // Sends one request, stamped when its op CarriesVersion and a version
+  // was set, and returns the response payload.
+  StatusOr<std::string> Call(Request& request);
 
   gf::Ring ring_;
   std::unique_ptr<Channel> channel_;
   uint64_t round_trips_ = 0;
+  std::optional<uint64_t> stamp_;  // the client's skeleton version
   // Which mutation op the in-flight two-phase txn rides on; set by prepare,
   // reused for commit/abort (the server ignores the kind past prepare, so a
   // recovery-driven commit with no prior prepare on this stub is fine too).

@@ -40,6 +40,27 @@ Status ConsumeVarintList(std::string_view* data, std::vector<T>* out,
 
 }  // namespace
 
+bool CarriesVersion(Op op) {
+  switch (op) {
+    case Op::kEvalAt:
+    case Op::kEvalAtBatch:
+    case Op::kEvalPointsBatch:
+    case Op::kEvalGrid:
+    case Op::kFetchShare:
+    case Op::kFetchShareBatch:
+    case Op::kAggregate:
+    case Op::kAggregateBatch:
+    case Op::kAggregateVerified:
+    case Op::kAggregateBatchVerified:
+    case Op::kFetchSealed:
+    case Op::kFetchSealedBatch:
+    case Op::kFetchColumnsBatch:
+      return true;
+    default:
+      return false;
+  }
+}
+
 std::string EncodeRequest(const Request& request) {
   std::string out;
   out.push_back(static_cast<char>(request.op));
@@ -114,6 +135,7 @@ std::string EncodeRequest(const Request& request) {
       break;
     case Op::kFetchColumnsBatch:
     case Op::kNodesBatch:
+    case Op::kFetchSealedBatch:
       AppendVarintList(&out, request.pres);
       break;
     case Op::kDescendantsBatch:
@@ -125,6 +147,12 @@ std::string EncodeRequest(const Request& request) {
       AppendVarintList(&out, request.points);
       AppendVarintList(&out, request.pres);
       break;
+    case Op::kSkeleton:
+      PutVarint64(&out, request.pre);
+      break;
+  }
+  if (CarriesVersion(request.op) && request.version.has_value()) {
+    PutVarint64(&out, *request.version);
   }
   return out;
 }
@@ -232,7 +260,12 @@ StatusOr<Request> DecodeRequest(std::string_view data) {
     }
     case Op::kFetchColumnsBatch:
     case Op::kNodesBatch:
+    case Op::kFetchSealedBatch:
       SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.pres));
+      break;
+    case Op::kSkeleton:
+      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
+      request.pre = static_cast<uint32_t>(v);
       break;
     case Op::kDescendantsBatch:
       SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
@@ -256,6 +289,11 @@ StatusOr<Request> DecodeRequest(std::string_view data) {
     default:
       return Status::Corruption("unknown op " +
                                 std::to_string(static_cast<int>(request.op)));
+  }
+  if (CarriesVersion(request.op) && !data.empty()) {
+    uint64_t version = 0;
+    SSDB_RETURN_IF_ERROR(GetVarint64(&data, &version));
+    request.version = version;
   }
   if (!data.empty()) {
     return Status::Corruption("trailing bytes in request");

@@ -12,6 +12,7 @@
 #define SSDB_RPC_PROTOCOL_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,19 @@ enum class Op : uint8_t {
   // field elements back. `points` travel first, then `pres`; the decoder
   // runs filter::ValidateGrid before it allocates the pres.
   kEvalGrid = 30,
+  // The public skeleton (DESIGN.md §6), paged: the rows after pre `pre`,
+  // in pre order, and the slice's committed document version. The reply is
+  // the version, then the rows.
+  kSkeleton = 31,
+  // Sealed payloads of many nodes (the mutation planner's root path,
+  // DESIGN.md §12).
+  kFetchSealedBatch = 32,
 };
+
+// Whether requests of `op` read share or column data and so carry the
+// client's skeleton version (DESIGN.md §12): the evaluation, share,
+// aggregate, sealed-payload and column ops.
+bool CarriesVersion(Op op);
 
 // Two-phase step selector for the mutation ops (DESIGN.md §12).
 enum class MutationPhase : uint8_t {
@@ -122,6 +135,11 @@ struct Request {
   uint64_t txn = 0;
   MutationPhase phase = MutationPhase::kPrepare;
   std::string plan;  // serialized MutationPlan; present iff phase==kPrepare
+  // The client's skeleton version (DESIGN.md §12), stamped on ops that
+  // CarriesVersion: a server at another version refuses with StaleVersion.
+  // It travels last and is optional, so an unstamped request (a bare stub
+  // that never loaded a skeleton) is served at any version.
+  std::optional<uint64_t> version;
 };
 
 std::string EncodeRequest(const Request& request);

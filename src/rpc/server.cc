@@ -15,6 +15,17 @@ namespace {
 Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
                 filter::SessionId session, const Request& request,
                 std::string* payload) {
+  // A value request planned against another document version would read
+  // rows the client's skeleton does not describe (DESIGN.md §12).
+  if (request.version.has_value()) {
+    SSDB_ASSIGN_OR_RETURN(uint64_t committed, filter->CommittedVersion());
+    if (committed != *request.version) {
+      return Status::StaleVersion(
+          "document is at version " + std::to_string(committed) +
+          ", the request was planned at version " +
+          std::to_string(*request.version));
+    }
+  }
   switch (request.op) {
     case Op::kRoot: {
       SSDB_ASSIGN_OR_RETURN(filter::NodeMeta meta, filter->Root());
@@ -48,6 +59,13 @@ Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
       SSDB_ASSIGN_OR_RETURN(std::vector<filter::NodeMeta> metas,
                             filter->NodesBatch(request.pres));
       AppendNodeMetas(payload, metas);
+      return Status::OK();
+    }
+    case Op::kSkeleton: {
+      SSDB_ASSIGN_OR_RETURN(filter::SkeletonPage page,
+                            filter->Skeleton(request.pre));
+      PutVarint64(payload, page.version);
+      AppendNodeMetas(payload, page.nodes);
       return Status::OK();
     }
     case Op::kOpenCursor: {
@@ -141,6 +159,14 @@ Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
       SSDB_ASSIGN_OR_RETURN(std::string sealed,
                             filter->FetchSealed(request.pre));
       PutLengthPrefixed(payload, sealed);
+      return Status::OK();
+    }
+    case Op::kFetchSealedBatch: {
+      SSDB_ASSIGN_OR_RETURN(std::vector<std::string> sealed,
+                            filter->FetchSealedBatch(request.pres));
+      for (const std::string& payload_bytes : sealed) {
+        PutLengthPrefixed(payload, payload_bytes);
+      }
       return Status::OK();
     }
     case Op::kNodeCount: {

@@ -26,6 +26,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kUnavailable:
       return "Unavailable";
+    case StatusCode::kStaleVersion:
+      return "StaleVersion";
   }
   return "Unknown";
 }

@@ -25,6 +25,10 @@ enum class StatusCode : int {
   // A backend is known-unreachable (health monitor says down, or a dial
   // failed); retrying later may succeed. DESIGN.md §11.
   kUnavailable = 10,
+  // A value request was stamped with a skeleton version the server's
+  // document is no longer at; the client re-fetches its skeleton and
+  // reruns once. DESIGN.md §12.
+  kStaleVersion = 11,
 };
 
 // Human-readable name of a status code ("OK", "InvalidArgument", ...).
@@ -73,6 +77,9 @@ class Status {
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
+  static Status StaleVersion(std::string msg) {
+    return Status(StatusCode::kStaleVersion, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
@@ -82,6 +89,7 @@ class Status {
   }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
+  bool IsStaleVersion() const { return code_ == StatusCode::kStaleVersion; }
 
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }

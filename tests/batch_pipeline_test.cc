@@ -1,10 +1,12 @@
 // Regression coverage for the batched evaluation pipeline: a query step
 // costs a bounded number of server round trips regardless of candidate-set
 // size — child, '//', '//*', '..' and predicate steps alike, on both engines
-// and modes, measured over real unix-domain sockets (m = 1 and m = 2); the
-// paged DescendantsBatch op answers exactly across pages, nested roots and
-// resume points; and the scalar matching APIs remain exact wrappers over
-// the batch path.
+// and modes, measured over real unix-domain sockets (m = 1 and m = 2); no
+// step asks the server for structure, which the client reads off the
+// skeleton it paged in once (one exchange per kSkeletonPage nodes); the
+// paged DescendantsBatch op still answers exactly across pages, nested
+// roots and resume points; and the scalar matching APIs remain exact
+// wrappers over the batch path.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "query/ground_truth.h"
 #include "query/advanced_engine.h"
 #include "query/simple_engine.h"
 #include "rpc/client.h"
@@ -121,11 +124,11 @@ TEST(BatchPipelineTest, RoundTripsScaleWithStepsNotCandidates) {
   EXPECT_EQ(results_by_size[0], 5u);
   EXPECT_EQ(results_by_size[1], 40u);
 
-  // Simple engine, child steps only: Root + one eval batch for the first
-  // step + (children batch + eval batch) per later step = 2s round trips
-  // for an s-step query.
+  // Simple engine, child steps only: the skeleton page loaded on first use,
+  // then one eval batch per step; the root and the children come off the
+  // skeleton.
   constexpr uint64_t kSteps = 5;
-  EXPECT_LE(trips_by_size[0], 2 * kSteps);
+  EXPECT_EQ(trips_by_size[0], 1 + kSteps);
 }
 
 TEST(BatchPipelineTest, RoundTripsGrowLinearlyWithQueryLength) {
@@ -365,12 +368,16 @@ std::string ChainXml() {
 
 TEST(BatchPipelineTest, LookaheadCostsOneExchangePerStep) {
   // The advanced engine's look-ahead asks for every later name in one
-  // grid, so a chain query run that way costs no more round trips than
-  // the simple engine's strict run (children + grid per step).
+  // grid, so a chain query run that way costs one containment batch per
+  // step plus one grid per step that has later names. The simple engine's
+  // strict run costs one grid per step: the children come off the
+  // skeleton.
   auto db = BuildTestDb(ChainXml());
   const std::string chain = "/c0/c1/c2/c3/c4/c5/c6/c7/c8";
+  constexpr uint64_t kSteps = 9;
   WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
     filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+    ASSERT_TRUE(client.LoadSkeleton().ok());
     query::SimpleEngine simple(&client, &db->map);
     query::AdvancedEngine advanced(&client, &db->map);
     size_t strict_results = 0;
@@ -381,7 +388,8 @@ TEST(BatchPipelineTest, LookaheadCostsOneExchangePerStep) {
     const uint64_t lookahead = MeasureTrips(
         db.get(), remote, &advanced, chain, query::MatchMode::kContainment,
         &contain_results);
-    EXPECT_LE(lookahead, strict);
+    EXPECT_EQ(strict, kSteps);
+    EXPECT_EQ(lookahead, 2 * kSteps - 1);
     EXPECT_EQ(strict_results, 3u);
     EXPECT_EQ(contain_results, 3u);
   });
@@ -400,11 +408,11 @@ TEST(BatchPipelineTest, StrictGridMovesFieldElementsNotShares) {
       return remote->channel().bytes_sent() +
              remote->channel().bytes_received();
     };
-    // The children exchange alone, measured on its own.
+    // The children come off the skeleton: no bytes move.
     uint64_t start = moved();
     auto children = client.ChildrenBatch(persons);
     ASSERT_TRUE(children.ok());
-    const uint64_t children_bytes = moved() - start;
+    EXPECT_EQ(moved(), start);
 
     uint64_t budget = 0;
     for (size_t i = 0; i < persons.size(); ++i) {
@@ -419,8 +427,8 @@ TEST(BatchPipelineTest, StrictGridMovesFieldElementsNotShares) {
     auto equal = client.EqualsValueBatch(persons, *db->map.Lookup("person"));
     ASSERT_TRUE(equal.ok()) << equal.status().ToString();
     EXPECT_EQ(*equal, std::vector<uint8_t>(persons.size(), 1));
-    EXPECT_EQ(remote->round_trips() - trips_before, 2u);
-    EXPECT_LE(moved() - start - children_bytes, budget + kFrameOverhead);
+    EXPECT_EQ(remote->round_trips() - trips_before, 1u);
+    EXPECT_LE(moved() - start, budget + kFrameOverhead);
     EXPECT_EQ(client.stats().shares_fetched, 0u);
   });
 }
@@ -454,7 +462,7 @@ TEST(BatchPipelineTest, FallbackAnswersExactlyForOneMoreExchange) {
         EXPECT_EQ(client.stats().shares_fetched - shares_before, 82u);
         ++fallbacks;
       }
-      EXPECT_EQ(remote->round_trips() - trips_before, fell_back ? 3u : 2u);
+      EXPECT_EQ(remote->round_trips() - trips_before, fell_back ? 2u : 1u);
     }
     EXPECT_GT(fallbacks, 0u);
   });
@@ -554,67 +562,151 @@ TEST(BatchPipelineTest, DescendantsBatchPagesNestedAndDuplicateRoots) {
   EXPECT_FALSE(db->server->NodesBatch({whole.back().pre + 1000}).ok());
 }
 
-TEST(BatchPipelineTest, DescendantsLargerThanOnePageCostOneTripPerPage) {
-  // 2800 persons x 3 nodes: more descendants than one page holds.
+TEST(BatchPipelineTest, SkeletonLargerThanOnePageCostsOneTripPerPageAtOpen) {
+  // 2800 persons x 3 nodes + 2: more nodes than one skeleton page holds.
+  // Loading the skeleton costs one exchange per page; descendants then
+  // cost none.
   auto db = BuildTestDb(WideXml(2800));
   WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
     filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+    const uint64_t before_open = remote->round_trips();
+    ASSERT_TRUE(client.LoadSkeleton().ok());
+    const size_t nodes = 2800u * 3 + 2;
+    ASSERT_GT(nodes, filter::kSkeletonPage);
+    EXPECT_EQ(remote->round_trips() - before_open,
+              (nodes + filter::kSkeletonPage - 1) / filter::kSkeletonPage);
+    EXPECT_EQ(client.skeleton().size(), nodes);
+
     auto root = client.Root();
     ASSERT_TRUE(root.ok());
     uint64_t before = remote->round_trips();
     auto all = client.DescendantsBatch({*root, *root});
     ASSERT_TRUE(all.ok()) << all.status().ToString();
-    EXPECT_EQ(remote->round_trips() - before, 2u);
-    ASSERT_EQ(all->size(), 2800u * 3 + 1);
-    ASSERT_GT(all->size(), filter::kDescendantsPage);
+    EXPECT_EQ(remote->round_trips(), before);
+    ASSERT_EQ(all->size(), nodes - 1);
     for (size_t i = 0; i < all->size(); ++i) {
       ASSERT_EQ((*all)[i].pre, root->pre + 1 + i);
     }
   });
 }
 
-// Records the roots each DescendantsBatch request carries.
-class RootRecordingFilter : public filter::LocalServerFilter {
+// Counts the server's structure calls, the skeleton pages apart.
+class StructureCountingFilter : public filter::LocalServerFilter {
  public:
   using LocalServerFilter::LocalServerFilter;
+  StatusOr<filter::SkeletonPage> Skeleton(uint32_t after_pre) override {
+    ++skeleton_pages;
+    return LocalServerFilter::Skeleton(after_pre);
+  }
+  StatusOr<filter::NodeMeta> Root() override {
+    ++structure_calls;
+    return LocalServerFilter::Root();
+  }
+  StatusOr<filter::NodeMeta> GetNode(uint32_t pre) override {
+    ++structure_calls;
+    return LocalServerFilter::GetNode(pre);
+  }
+  StatusOr<std::vector<filter::NodeMeta>> Children(uint32_t pre) override {
+    ++structure_calls;
+    return LocalServerFilter::Children(pre);
+  }
+  StatusOr<std::vector<std::vector<filter::NodeMeta>>> ChildrenBatch(
+      const std::vector<uint32_t>& pres) override {
+    ++structure_calls;
+    return LocalServerFilter::ChildrenBatch(pres);
+  }
   StatusOr<std::vector<filter::NodeMeta>> DescendantsBatch(
       const std::vector<filter::NodeMeta>& roots,
       uint32_t resume_after) override {
-    root_counts.push_back(roots.size());
+    ++structure_calls;
     return LocalServerFilter::DescendantsBatch(roots, resume_after);
   }
-  std::vector<size_t> root_counts;
+  StatusOr<std::vector<filter::NodeMeta>> NodesBatch(
+      const std::vector<uint32_t>& pres) override {
+    ++structure_calls;
+    return LocalServerFilter::NodesBatch(pres);
+  }
+  StatusOr<uint64_t> OpenDescendantCursor(filter::SessionId session,
+                                          uint32_t pre,
+                                          uint32_t post) override {
+    ++structure_calls;
+    return LocalServerFilter::OpenDescendantCursor(session, pre, post);
+  }
+  size_t skeleton_pages = 0;
+  size_t structure_calls = 0;
 };
 
-TEST(BatchPipelineTest, ManyRootsTravelInBoundedWindows) {
-  // 9000 covering roots: more than one request may carry.
+TEST(BatchPipelineTest, ManyRootsCostNoExchange) {
+  // 9000 persons: the skeleton is four pages, and the descendants of 9000
+  // covering roots — or of their 9000 leaves — come off it with no request.
   auto db = BuildTestDb(WideXml(9000));
-  RootRecordingFilter server(db->ring, db->store.get());
+  StructureCountingFilter server(db->ring, db->store.get());
   filter::ClientFilter client(db->ring, prg::Prg(db->seed), &server);
   auto root = *client.Root();
+  EXPECT_EQ(server.skeleton_pages, 4u);
   auto people = (*client.Children(root))[0];
   auto persons = *client.Children(people);
   ASSERT_EQ(persons.size(), 9000u);
 
+  const uint64_t before = server.RoundTrips();
   auto below = client.DescendantsBatch(persons);
   ASSERT_TRUE(below.ok()) << below.status().ToString();
   EXPECT_EQ(*below, ScanAll(db->store.get(), persons));
-  // 18000 nodes are three pages. The first request holds one window of
-  // roots; a full page of 2 nodes per person ends inside person
-  // 4095 (then 8191), so each later request starts at that person.
-  const size_t half = filter::kDescendantsPage / 2;
-  EXPECT_EQ(server.root_counts,
-            (std::vector<size_t>{filter::kDescendantsPage, 9000 - (half - 1),
-                                 9000 - (2 * half - 1)}));
-
-  // Leaf roots have no descendants: one request per window, all empty.
   std::vector<filter::NodeMeta> cities;
   for (size_t i = 1; i < below->size(); i += 2) cities.push_back((*below)[i]);
-  server.root_counts.clear();
   auto none = client.DescendantsBatch(cities);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
-  EXPECT_EQ(server.root_counts.size(), 2u);
+  EXPECT_EQ(server.RoundTrips(), before);
+  EXPECT_EQ(server.structure_calls, 0u);
+  EXPECT_EQ(server.skeleton_pages, 4u);
+}
+
+TEST(BatchPipelineTest, NoAxisAsksTheServerForStructure) {
+  // '/', '//', '*', '..' and every predicate form, '[..]' included, on
+  // both engines and modes: once the skeleton is loaded, no step sends a
+  // structure request.
+  auto db = BuildTestDb(SmallAuctionXml());
+  StructureCountingFilter server(db->ring, db->store.get());
+  filter::ClientFilter client(db->ring, prg::Prg(db->seed), &server);
+  ASSERT_TRUE(client.LoadSkeleton().ok());
+  EXPECT_EQ(server.skeleton_pages, 1u);
+  query::SimpleEngine simple(&client, &db->map);
+  query::AdvancedEngine advanced(&client, &db->map);
+  const char* queries[] = {
+      "/site/people/person",
+      "/site//city",
+      "//city",
+      "/site/*/person",
+      "/site/people//*",
+      "//city/../..",
+      "/site/people/person[address/city]",
+      "/site/people/person[//city]/name",
+      "/site/people/person[address/city/..]",
+      "/site/people/person/address[..]",
+      "/site/*[person/address]//city",
+  };
+  for (const char* text : queries) {
+    auto parsed = query::ParseQuery(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    for (query::QueryEngine* engine :
+         {static_cast<query::QueryEngine*>(&simple),
+          static_cast<query::QueryEngine*>(&advanced)}) {
+      for (query::MatchMode mode :
+           {query::MatchMode::kContainment, query::MatchMode::kEquality}) {
+        auto result = engine->Execute(*parsed, mode, nullptr);
+        ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+        if (mode == query::MatchMode::kEquality) {
+          std::vector<uint32_t> pres;
+          for (const filter::NodeMeta& node : *result) pres.push_back(node.pre);
+          EXPECT_EQ(pres, *query::EvaluateGroundTruth(*parsed, db->doc))
+              << text;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(server.structure_calls, 0u);
+  EXPECT_EQ(server.skeleton_pages, 1u);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // × both match modes × m ∈ {1, 2, 3} × memory/disk — m > 1 served by
 // concurrent servers over unix sockets — must equal the plaintext oracle:
 // EvaluateGroundTruth for strict mode, EvaluateContainmentTruth with the
-// engine's rule for non-strict mode. A deployment whose primary loses every
-// NodesBatch must answer exactly or fail naming server 0, never short.
+// engine's rule for non-strict mode. A primary that fails or forges the
+// skeleton at open is refused naming server 0; one that loses the skeleton
+// after open still answers every query exactly, since no query asks it for
+// structure (DESIGN.md §6).
 //
 // On a failure the message carries the seed, document kind, deployment,
 // engine, mode and query, enough to replay the case alone.
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -205,22 +208,40 @@ class Battery {
     }
 
     Deployment faulty;
-    faulty.label = "memory m=2 primary loses NodesBatch";
+    faulty.label = "memory m=2 primary loses the skeleton after open";
     core::DatabaseOptions options;
     options.servers = 2;
     auto served = core::EncryptedXmlDatabase::Encode(xml_, map_, seed,
                                                      options);
     ASSERT_TRUE(served.ok());
     faulty.served = std::move(*served);
-    testing_helpers::FaultConfig config;
-    config.fail_nodes = true;
     faulty.faulty = std::make_unique<testing_helpers::TamperingServerFilter>(
-        faulty.served->ring(), faulty.served->slice_filter(0), config);
-    auto client = core::EncryptedXmlDatabase::FromFilters(
-        {faulty.faulty.get(), faulty.served->slice_filter(1)}, map_, seed, 83,
-        1);
-    ASSERT_TRUE(client.ok());
+        faulty.served->ring(), faulty.served->slice_filter(0),
+        testing_helpers::FaultConfig{});
+    auto open = [&] {
+      return core::EncryptedXmlDatabase::FromFilters(
+          {faulty.faulty.get(), faulty.served->slice_filter(1)}, map_, seed,
+          83, 1);
+    };
+    // A primary that fails or forges the skeleton fails the open, named.
+    for (auto [fault, code] :
+         {std::pair{testing_helpers::SkeletonFault::kFail,
+                    StatusCode::kUnavailable},
+          std::pair{testing_helpers::SkeletonFault::kForge,
+                    StatusCode::kCorruption}}) {
+      faulty.faulty->config().skeleton = fault;
+      auto refused = open();
+      ASSERT_FALSE(refused.ok());
+      EXPECT_EQ(refused.status().code(), code) << refused.status().ToString();
+      EXPECT_NE(refused.status().message().find("server 0"),
+                std::string::npos)
+          << refused.status().ToString();
+    }
+    faulty.faulty->config().skeleton = testing_helpers::SkeletonFault::kNone;
+    auto client = open();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
     faulty.client = std::move(*client);
+    faulty.faulty->config().skeleton = testing_helpers::SkeletonFault::kFail;
     faulty_ = std::move(faulty);
   }
 
@@ -248,17 +269,16 @@ class Battery {
                           : query::ContainmentRule::kLookahead);
         ASSERT_TRUE(truth.ok()) << q.text;
         for (Deployment& dep : deployments_) {
-          Check(&dep, q, engine, mode, *truth, /*may_fail=*/false);
+          Check(&dep, q, engine, mode, *truth);
         }
-        Check(&faulty_, q, engine, mode, *truth, /*may_fail=*/true);
+        Check(&faulty_, q, engine, mode, *truth);
       }
     }
   }
 
  private:
   void Check(Deployment* dep, const query::Query& q, core::EngineKind engine,
-             MatchMode mode, const std::vector<uint32_t>& truth,
-             bool may_fail) {
+             MatchMode mode, const std::vector<uint32_t>& truth) {
     std::string where = "seed=" + std::to_string(seed_) + " doc=" + kind_ +
                         " deployment=[" + dep->label + "] engine=" +
                         (engine == core::EngineKind::kSimple ? "simple"
@@ -267,11 +287,7 @@ class Battery {
                         " query=" + q.text;
     auto result = dep->db()->QueryParsed(q, engine, mode);
     if (!result.ok()) {
-      bool named = result.status().code() == StatusCode::kUnavailable &&
-                   result.status().message().find("server 0") !=
-                       std::string::npos;
-      EXPECT_TRUE(may_fail && named)
-          << where << ": " << result.status().ToString();
+      ADD_FAILURE() << where << ": " << result.status().ToString();
       return;
     }
     std::vector<uint32_t> actual;

@@ -39,6 +39,13 @@ enum class Fault {
   kProofOnly,   // corrupt only the §9 wide/proof track, words stay honest
 };
 
+// What the compromised server does to the public skeleton.
+enum class SkeletonFault {
+  kNone,   // honest pages
+  kFail,   // every page answers Unavailable
+  kForge,  // pages arrive with a node that is its own parent
+};
+
 struct FaultConfig {
   Fault fault = Fault::kNone;
   // Surfaces the fault applies to. Evaluation and share replies always use
@@ -47,9 +54,9 @@ struct FaultConfig {
                               // EvalGrid
   bool on_share = false;      // FetchShare / FetchShareBatch
   bool on_aggregate = false;  // PartialAggregate / PartialAggregateVerified
-  // NodesBatch (a whole '..' step) answers Unavailable: the server is lost
-  // mid-query on the structure plane.
-  bool fail_nodes = false;
+  // What the server does to Skeleton pages (DESIGN.md §6): answers them,
+  // loses them (Unavailable), or forges a malformed one.
+  SkeletonFault skeleton = SkeletonFault::kNone;
   size_t offset = 0;          // word/group index the fault targets
   uint32_t bit = 0;           // bit position for kBitFlip / kProofOnly
   double probability = 1.0;   // chance a reply is corrupted at all
@@ -111,12 +118,29 @@ class TamperingServerFilter : public filter::ServerFilter {
   }
   StatusOr<std::vector<filter::NodeMeta>> NodesBatch(
       const std::vector<uint32_t>& pres) override {
-    if (config_.fail_nodes) {
+    return inner_->NodesBatch(pres);
+  }
+  StatusOr<filter::SkeletonPage> Skeleton(uint32_t after_pre) override {
+    SSDB_ASSIGN_OR_RETURN(filter::SkeletonPage page,
+                          inner_->Skeleton(after_pre));
+    if (config_.skeleton == SkeletonFault::kFail) {
       ++faults_injected_;
       return Status::Unavailable("connection lost");
     }
-    return inner_->NodesBatch(pres);
+    if (config_.skeleton == SkeletonFault::kForge && page.nodes.size() > 1) {
+      // Node 2 claims to be its own parent: no document has that shape.
+      ++faults_injected_;
+      page.nodes[1].parent = page.nodes[1].pre;
+    }
+    return page;
   }
+  StatusOr<uint64_t> CommittedVersion() override {
+    return inner_->CommittedVersion();
+  }
+  void StampVersion(uint64_t version) override {
+    inner_->StampVersion(version);
+  }
+  bool StampsRequests() const override { return inner_->StampsRequests(); }
   StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
                                           uint32_t post) override {
     return inner_->OpenDescendantCursor(pre, post);
@@ -130,6 +154,13 @@ class TamperingServerFilter : public filter::ServerFilter {
   }
   StatusOr<std::string> FetchSealed(uint32_t pre) override {
     return inner_->FetchSealed(pre);
+  }
+  StatusOr<std::vector<std::string>> FetchSealedBatch(
+      const std::vector<uint32_t>& pres) override {
+    return inner_->FetchSealedBatch(pres);
+  }
+  StatusOr<std::vector<storage::MutationState>> MutationStates() override {
+    return inner_->MutationStates();
   }
   StatusOr<uint64_t> NodeCount() override { return inner_->NodeCount(); }
   uint64_t RoundTrips() const override { return inner_->RoundTrips(); }

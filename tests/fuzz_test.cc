@@ -7,6 +7,8 @@
 //    to RpcServer::HandleRequest must yield error frames, never crashes or
 //    hangs (what an untrusted client can throw at a concurrent server,
 //    DESIGN.md §7);
+//  * hostile skeletons (DESIGN.md §6): every malformed page sequence is
+//    refused as Corruption naming server 0;
 //  * the verified-aggregation reply path (DESIGN.md §9): truncated,
 //    bit-flipped, random and oversized proof-bearing frames must end in an
 //    error or a verification failure, never a crash or a silently wrong
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,6 +24,8 @@
 #include <vector>
 
 #include "core/database.h"
+#include "filter/multi_server_filter.h"
+#include "filter/skeleton.h"
 #include "query/advanced_engine.h"
 #include "query/ground_truth.h"
 #include "query/xpath.h"
@@ -247,8 +252,11 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   request.phase = rpc::MutationPhase::kPrepare;
   request.plan = "not a plan";
   request.posts = {9, 8, 7};  // kDescendantsBatch roots (DESIGN.md §6)
-  // One past kEvalGrid (30): the last valid opcode plus an invalid probe.
-  for (uint8_t op = 0; op <= 31; ++op) {
+  // Stamped value requests carry the client's skeleton version last.
+  request.version = 6;
+  // One past kFetchSealedBatch (32): the last valid opcode plus an invalid
+  // probe.
+  for (uint8_t op = 0; op <= 33; ++op) {
     request.op = static_cast<rpc::Op>(op);
     std::string valid = rpc::EncodeRequest(request);
     for (size_t cut = 0; cut <= valid.size(); ++cut) {
@@ -260,9 +268,9 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   // rejected at decode, not allocated (would OOM or hang the worker).
   for (int shift = 40; shift <= 62; ++shift) {
     // Batch opcodes, including the mutation planner's column fetch (27),
-    // the set-at-a-time structure reads (28, 29) and the point grid (30),
-    // whose point count comes first.
-    for (uint8_t op : {8, 12, 14, 15, 16, 17, 18, 19, 27, 28, 29, 30}) {
+    // the set-at-a-time structure reads (28, 29), the point grid (30),
+    // whose point count comes first, and the sealed-payload batch (32).
+    for (uint8_t op : {8, 12, 14, 15, 16, 17, 18, 19, 27, 28, 29, 30, 32}) {
       std::string frame;
       frame.push_back(static_cast<char>(op));
       // kEvalAtBatch/kEvalPointsBatch carry a point/pre varint before the
@@ -477,6 +485,125 @@ TEST(FuzzTest, StructureBatchOpsStayBounded) {
 // truncated, count-bombed, or carrying a corrupt plan — must leave the
 // slice exactly as it was. No version bump, no pending txn, no node moved:
 // an error frame must never cost a silent partial write.
+// A primary that serves the skeleton (op 31, DESIGN.md §6) through a hook
+// that may forge each page.
+class ForgingSkeletonFilter : public filter::LocalServerFilter {
+ public:
+  using Forge = std::function<void(uint32_t after_pre, filter::SkeletonPage*)>;
+  ForgingSkeletonFilter(gf::Ring ring, storage::NodeStore* store, Forge forge)
+      : LocalServerFilter(std::move(ring), store), forge_(std::move(forge)) {}
+  StatusOr<filter::SkeletonPage> Skeleton(uint32_t after_pre) override {
+    SSDB_ASSIGN_OR_RETURN(filter::SkeletonPage page,
+                          LocalServerFilter::Skeleton(after_pre));
+    forge_(after_pre, &page);
+    return page;
+  }
+
+ private:
+  Forge forge_;
+};
+
+// Hostile skeletons: the client refuses pres that are not dense, a parent
+// at or after its child, a second root, subtrees that are not contiguous,
+// posts whose intervals do not nest, an empty skeleton, pages that
+// disagree on the version, and page-count bombs — each as Corruption
+// naming server 0, before any query runs.
+TEST(FuzzTest, HostileSkeletonsAreRefusedNamingServerZero) {
+  auto db = testing_helpers::BuildTestDb(testing_helpers::SmallAuctionXml());
+  std::string wide = "<site><people>";
+  for (int i = 0; i < 5000; ++i) wide += "<person><name>n</name></person>";
+  wide += "</people></site>";
+  auto big = testing_helpers::BuildTestDb(wide);
+  ASSERT_GT(*big->store->NodeCount(), filter::kSkeletonPage);
+  using Page = filter::SkeletonPage;
+  auto refused = [&](testing_helpers::TestDb* target,
+                     ForgingSkeletonFilter::Forge forge, const char* what) {
+    SCOPED_TRACE(what);
+    ForgingSkeletonFilter forger(target->ring, target->store.get(),
+                                 std::move(forge));
+    filter::ClientFilter client(target->ring, prg::Prg(target->seed),
+                                &forger);
+    Status status = client.LoadSkeleton();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_EQ(status.message().rfind("server 0: skeleton", 0), 0u)
+        << status.ToString();
+    EXPECT_FALSE(client.skeleton().loaded());
+  };
+  // The honest control, one page and two.
+  for (testing_helpers::TestDb* target : {db.get(), big.get()}) {
+    ForgingSkeletonFilter honest(target->ring, target->store.get(),
+                                 [](uint32_t, Page*) {});
+    auto fetched = filter::SkeletonCache::Fetch(&honest);
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    EXPECT_EQ(fetched->size(), *target->store->NodeCount());
+  }
+
+  refused(db.get(), [](uint32_t, Page* p) { p->nodes[3].pre += 1; },
+          "a skipped pre");
+  refused(db.get(), [](uint32_t, Page* p) { p->nodes.erase(p->nodes.begin()); },
+          "no row for pre 1");
+  refused(db.get(),
+          [](uint32_t, Page* p) { p->nodes[2].parent = p->nodes[2].pre; },
+          "a node that is its own parent");
+  refused(db.get(),
+          [](uint32_t, Page* p) { p->nodes[4].parent = p->nodes[4].pre + 2; },
+          "a parent after its child");
+  refused(db.get(), [](uint32_t, Page* p) { p->nodes[5].parent = 0; },
+          "a second root");
+  refused(db.get(), [](uint32_t, Page* p) { p->nodes[0].parent = 7; },
+          "a root with a parent");
+  refused(db.get(),
+          [](uint32_t, Page* p) {
+            // The last node hangs under pre 2, whose subtree already closed.
+            p->nodes.back().parent = 2;
+          },
+          "a subtree that is not contiguous");
+  refused(db.get(),
+          [](uint32_t, Page* p) {
+            std::swap(p->nodes[2].post, p->nodes[3].post);
+          },
+          "posts that do not nest");
+  refused(db.get(), [](uint32_t, Page* p) { p->nodes.clear(); },
+          "an empty skeleton");
+  refused(big.get(),
+          [](uint32_t after, Page* p) { p->version = after == 0 ? 4 : 5; },
+          "pages at two versions");
+  refused(big.get(),
+          [](uint32_t after, Page* p) {
+            if (after == 0) p->nodes.push_back(p->nodes.back());
+          },
+          "a page longer than the page limit");
+
+  // A count bomb on the wire: an ok reply whose row count claims 2^40
+  // rows in a few bytes never allocates them.
+  class ScriptedChannel : public rpc::Channel {
+   public:
+    explicit ScriptedChannel(std::string reply) : reply_(std::move(reply)) {}
+    Status Send(std::string_view) override { return Status::OK(); }
+    StatusOr<std::string> Receive() override { return reply_; }
+    void Close() override {}
+    uint64_t bytes_sent() const override { return 0; }
+    uint64_t bytes_received() const override { return 0; }
+    uint64_t messages_sent() const override { return 0; }
+
+   private:
+    std::string reply_;
+  };
+  std::string bomb(1, '\x01');  // ok envelope
+  bomb.push_back(0);            // version 0
+  for (uint64_t huge = uint64_t{1} << 40; huge != 0; huge >>= 7) {
+    bomb.push_back(static_cast<char>((huge & 0x7f) | (huge >= 0x80 ? 0x80 : 0)));
+  }
+  rpc::RemoteServerFilter remote(db->ring,
+                                 std::make_unique<ScriptedChannel>(bomb));
+  filter::MultiServerFilter fanout(db->ring, {&remote});
+  filter::ClientFilter client(db->ring, prg::Prg(db->seed), &fanout);
+  Status status = client.LoadSkeleton();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("server 0"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(FuzzTest, MutationOpsNeverCorruptStateOnGarbage) {
   auto db = testing_helpers::BuildTestDb(testing_helpers::SmallAuctionXml());
   rpc::RpcServer server(db->ring, db->server.get());

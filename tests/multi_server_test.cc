@@ -301,17 +301,15 @@ TEST_F(MultiServerTest, TamperedGridIsDetectedWithoutFullVerification) {
   }
 }
 
-TEST_F(MultiServerTest, PrimaryLostMidParentStepFailsNamingIt) {
-  // Regression: '..' used to drop every node whose parent lookup failed,
-  // so a primary lost mid-query gave a short answer instead of an error.
-  // Both slices serve over RPC channels; everything before the '..' step
-  // succeeds, then the primary's NodesBatch answers Unavailable.
+TEST_F(MultiServerTest, ParentStepsNeedNoStructureFromThePrimary) {
+  // '..' used to ask the primary for the parents (NodesBatch), and a
+  // primary lost mid-step once gave a short answer. Parents now come off
+  // the skeleton the client loaded at open (DESIGN.md §6), so a primary
+  // that loses its structure plane afterwards changes no answer.
   auto db = EncodeWithServers(xml_, map_, seed_, 2);
   ASSERT_TRUE(db.ok());
-  testing_helpers::FaultConfig config;
-  config.fail_nodes = true;
   testing_helpers::TamperingServerFilter primary(
-      ring_, (*db)->slice_filter(0), config);
+      ring_, (*db)->slice_filter(0), testing_helpers::FaultConfig{});
   std::vector<filter::ServerFilter*> slices = {&primary,
                                                (*db)->slice_filter(1)};
   std::vector<std::unique_ptr<rpc::ServerThread>> servers;
@@ -325,25 +323,29 @@ TEST_F(MultiServerTest, PrimaryLostMidParentStepFailsNamingIt) {
   auto client = core::EncryptedXmlDatabase::ConnectRemoteMulti(
       std::move(channels), map_, seed_, 83, 1);
   ASSERT_TRUE(client.ok());
+  primary.config().skeleton = testing_helpers::SkeletonFault::kFail;
 
+  auto doc = xml::ParseDocument(xml_);
+  ASSERT_TRUE(doc.ok());
+  xml::AnnotatePrePost(&*doc);
   for (const char* text : {"//address/../name", "/site/people/person/.."}) {
+    auto parsed = query::ParseQuery(text);
+    ASSERT_TRUE(parsed.ok());
     for (core::EngineKind engine :
          {core::EngineKind::kSimple, core::EngineKind::kAdvanced}) {
-      for (query::MatchMode mode :
-           {query::MatchMode::kContainment, query::MatchMode::kEquality}) {
-        auto result = (*client)->Query(text, engine, mode);
-        ASSERT_FALSE(result.ok()) << text << " answered "
-                                  << result->nodes.size() << " nodes";
-        EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-        EXPECT_NE(result.status().message().find("server 0"),
-                  std::string::npos)
-            << result.status().ToString();
+      auto result = (*client)->QueryParsed(*parsed, engine,
+                                           query::MatchMode::kEquality);
+      ASSERT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+      std::vector<uint32_t> actual;
+      for (const filter::NodeMeta& node : result->nodes) {
+        actual.push_back(node.pre);
       }
+      EXPECT_EQ(actual, *query::EvaluateGroundTruth(*parsed, *doc)) << text;
     }
   }
-  EXPECT_GT(primary.faults_injected(), 0u);
+  EXPECT_EQ(primary.faults_injected(), 0u);
 
-  // Only the root may drop out of '..': it has no parent to ask for.
+  // Only the root may drop out of '..': it has no parent.
   auto root_parent = (*client)->Query("/site/..", core::EngineKind::kSimple,
                                       query::MatchMode::kContainment);
   ASSERT_TRUE(root_parent.ok()) << root_parent.status().ToString();

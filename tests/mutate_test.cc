@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -34,11 +35,15 @@
 #include "filter/client_filter.h"
 #include "filter/multi_server_filter.h"
 #include "filter/server_filter.h"
+#include "filter/skeleton.h"
 #include "gf/field.h"
 #include "gf/ring.h"
 #include "mapping/tag_map.h"
 #include "prg/prg.h"
 #include "prg/seed.h"
+#include "query/ground_truth.h"
+#include "rpc/concurrent_server.h"
+#include "rpc/socket_channel.h"
 #include "shard/catalog.h"
 #include "shard/router.h"
 #include "storage/mutation.h"
@@ -335,7 +340,7 @@ TEST_F(MutateTest, PlansArePinned) {
   mapping::TagMap map = MapFor({kLibXml}, field_);
   auto db = MakeDb(kLibXml, map, 2, /*seal=*/true);
   encode::Mutator mutator(db->ring(), map, prg::Prg(seed_),
-                          db->server_filter());
+                          db->client_filter());
   auto pin = [](const StatusOr<encode::PlannedMutation>& planned) {
     SSDB_CHECK(planned.ok()) << planned.status().ToString();
     EXPECT_EQ(planned->plans.size(), 2u);
@@ -359,19 +364,28 @@ TEST_F(MutateTest, PlansArePinned) {
             0xdcc0c0bd461c5fdaull);
 }
 
-// Planning reads the slice states once, in BeginPlan. A text-only UPDATE
-// of shelfA (depth 1, a path of two nodes) at m = 2 then costs 7 exchanges:
-// MutationStates, one GetNode and one FetchSealed per path node, one
-// FetchColumnsBatch and one FetchShareBatch for the path's shares.
+// Planning reads the slice states once, in BeginPlan, and the root path
+// off the skeleton. A text-only UPDATE at m = 2 then costs 4 exchanges at
+// any depth: MutationStates, FetchColumnsBatch and FetchSealedBatch for the
+// path, and one FetchShareBatch for the path's shares.
 TEST_F(MutateTest, PlanningReadsMutationStatesOnce) {
-  mapping::TagMap map = MapFor({kLibXml}, field_);
-  auto db = MakeDb(kLibXml, map, 2, /*seal=*/true);
+  // r=1 d1=2 ... d8=9 s=10: d8 sits at depth 8, s at depth 1.
+  std::string deep = "<r>";
+  for (int i = 1; i <= 8; ++i) deep += "<d" + std::to_string(i) + ">";
+  deep += "x";
+  for (int i = 8; i >= 1; --i) deep += "</d" + std::to_string(i) + ">";
+  deep += "<s>y</s></r>";
+  mapping::TagMap map = MapFor({deep}, field_);
+  auto db = MakeDb(deep, map, 2, /*seal=*/true);
   encode::Mutator mutator(db->ring(), map, prg::Prg(seed_),
-                          db->server_filter());
-  const uint64_t before = db->server_filter()->RoundTrips();
-  auto planned = mutator.PlanUpdate(2, "", std::string("x"));
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  EXPECT_EQ(db->server_filter()->RoundTrips() - before, 7u);
+                          db->client_filter());
+  for (uint32_t pre : {10u, 9u}) {
+    const uint64_t before = db->server_filter()->RoundTrips();
+    auto planned = mutator.PlanUpdate(pre, "", std::string("z"));
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_EQ(planned->stats.path_nodes, pre == 10 ? 2u : 9u);
+    EXPECT_EQ(db->server_filter()->RoundTrips() - before, 4u) << "pre " << pre;
+  }
 }
 
 // A primary that lies about one node's subtree size: it adds one to a
@@ -386,9 +400,6 @@ class SubtreeSizeLiar : public testing_helpers::TamperingServerFilter {
         pre_(pre),
         value_count_(value_count) {}
 
-  StatusOr<std::vector<storage::MutationState>> MutationStates() override {
-    return inner_->MutationStates();
-  }
   StatusOr<std::vector<storage::ColumnBlobs>> FetchColumnsBatch(
       const std::vector<uint32_t>& pres) override {
     SSDB_ASSIGN_OR_RETURN(std::vector<storage::ColumnBlobs> cols,
@@ -421,7 +432,8 @@ TEST_F(MutateTest, LyingPrimarySubtreeSizeIsRefused) {
   SubtreeSizeLiar liar(db->ring(), db->slice_filter(0), /*pre=*/3,
                        map.size());
   filter::MultiServerFilter fanout(db->ring(), {&liar, db->slice_filter(1)});
-  encode::Mutator lied_to(db->ring(), map, prg::Prg(seed_), &fanout);
+  filter::ClientFilter lied_to_client(db->ring(), prg::Prg(seed_), &fanout);
+  encode::Mutator lied_to(db->ring(), map, prg::Prg(seed_), &lied_to_client);
 
   for (const Status& status :
        {lied_to.PlanDelete(3).status(),
@@ -435,7 +447,7 @@ TEST_F(MutateTest, LyingPrimarySubtreeSizeIsRefused) {
 
   // Control: the honest deployment erases exactly book(3) and its title.
   encode::Mutator honest(db->ring(), map, prg::Prg(seed_),
-                         db->server_filter());
+                         db->client_filter());
   auto planned = honest.PlanDelete(3);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   EXPECT_EQ(planned->plans[0].erase_lo, 3u);
@@ -533,7 +545,7 @@ TEST_F(MutateTest, PrepareFailureAbortsCleanly) {
   auto before = Snapshot(db->client_filter(), true);
 
   encode::Mutator mutator(db->ring(), map, prg::Prg(seed_),
-                          db->server_filter());
+                          db->client_filter());
   auto planned = mutator.PlanUpdate(8, "book", std::nullopt);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
   ASSERT_EQ(planned->plans.size(), 2u);
@@ -568,7 +580,7 @@ TEST_F(MutateTest, RecoverMutationsDecidesStalledTxns) {
   ASSERT_TRUE(db->RecoverMutations().ok());
 
   encode::Mutator mutator(db->ring(), map, prg::Prg(seed_),
-                          db->server_filter());
+                          db->client_filter());
 
   // Stall A: prepared on both slices, coordinator dies before any commit.
   auto planned = mutator.PlanDelete(3);
@@ -626,7 +638,7 @@ TEST_F(MutateTest, CrashBetweenPhasesRecoversOnDisk) {
   gf::Ring ring = db->ring();
   auto original = Snapshot(db->client_filter(), true);
 
-  encode::Mutator mutator(ring, map, prg::Prg(seed_), db->server_filter());
+  encode::Mutator mutator(ring, map, prg::Prg(seed_), db->client_filter());
   auto planned = mutator.PlanUpdate(8, "book", std::nullopt);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
 
@@ -674,7 +686,7 @@ TEST_F(MutateTest, CrashBetweenPhasesRecoversOnDisk) {
 
     // Round two: prepared everywhere, committed on slice 0, crash before
     // slice 1 hears the commit.
-    encode::Mutator mutator2(ring, map, prg::Prg(seed_), s->server_filter());
+    encode::Mutator mutator2(ring, map, prg::Prg(seed_), s->client_filter());
     auto planned2 = mutator2.PlanUpdate(8, "book", std::nullopt);
     ASSERT_TRUE(planned2.ok()) << planned2.status().ToString();
     ASSERT_TRUE(
@@ -697,6 +709,267 @@ TEST_F(MutateTest, CrashBetweenPhasesRecoversOnDisk) {
     ExpectSameDocument(Snapshot(s->client_filter(), true),
                        Snapshot(expected->client_filter(), true));
   }
+}
+
+// A slice filter that counts the skeleton pages it serves and can lose
+// the next commits (DESIGN.md §12).
+class SliceProbe : public filter::LocalServerFilter {
+ public:
+  using LocalServerFilter::LocalServerFilter;
+  StatusOr<filter::SkeletonPage> Skeleton(uint32_t after_pre) override {
+    skeleton_pages.fetch_add(1);
+    return LocalServerFilter::Skeleton(after_pre);
+  }
+  Status CommitMutation(uint64_t txn) override {
+    if (fail_commits > 0) {
+      --fail_commits;
+      return Status::Unavailable("commit lost");
+    }
+    return LocalServerFilter::CommitMutation(txn);
+  }
+  std::atomic<uint64_t> skeleton_pages{0};
+  int fail_commits = 0;
+};
+
+// Runs `text` on `db` with the advanced engine and checks the answer
+// against the plaintext oracle on `xml`.
+void ExpectOracleAnswer(EncryptedXmlDatabase* db, const std::string& xml,
+                        const std::string& text, MatchMode mode) {
+  SCOPED_TRACE(text);
+  auto doc = xml::ParseDocument(xml);
+  ASSERT_TRUE(doc.ok());
+  xml::AnnotatePrePost(&*doc);
+  auto parsed = query::ParseQuery(text);
+  ASSERT_TRUE(parsed.ok());
+  auto truth = mode == MatchMode::kEquality
+                   ? query::EvaluateGroundTruth(*parsed, *doc)
+                   : query::EvaluateContainmentTruth(
+                         *parsed, *doc, query::ContainmentRule::kLookahead);
+  ASSERT_TRUE(truth.ok());
+  auto result = db->QueryParsed(*parsed, EngineKind::kAdvanced, mode);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<uint32_t> actual;
+  for (const filter::NodeMeta& node : result->nodes) {
+    actual.push_back(node.pre);
+  }
+  EXPECT_EQ(actual, *truth);
+}
+
+// A client applies its own commits to its skeleton instead of fetching it
+// again: after every INSERT, UPDATE and DELETE, and after RecoverMutations
+// settles a commit that failed part-way, the held skeleton equals a fresh
+// fetch field for field, nonces and version included — at m = 1 and 2, on
+// memory and disk.
+TEST_F(MutateTest, SkeletonFollowsOwnCommits) {
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+  for (Backend backend : {Backend::kMemory, Backend::kDisk}) {
+    for (uint32_t m : {1u, 2u}) {
+      SCOPED_TRACE(std::string(backend == Backend::kDisk ? "disk" : "memory") +
+                   " m=" + std::to_string(m));
+      TempDir dir("mutate_skeleton");
+      DatabaseOptions options;
+      options.backend = backend;
+      options.disk_path = dir.FilePath("doc.ssdb");
+      options.servers = m;
+      options.encode.seal_content = true;
+      options.encode.verify_aggregate = true;
+      auto served = EncryptedXmlDatabase::Encode(kLibXml, map, seed_, options);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      std::vector<std::unique_ptr<SliceProbe>> probes;
+      std::vector<filter::ServerFilter*> slices;
+      for (uint32_t i = 0; i < m; ++i) {
+        probes.push_back(std::make_unique<SliceProbe>(
+            (*served)->ring(), (*served)->slice_store(i)));
+        slices.push_back(probes.back().get());
+      }
+      auto db = EncryptedXmlDatabase::FromFilters(slices, map, seed_, 83, 1);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      filter::ClientFilter* client = (*db)->client_filter();
+
+      auto expect_current = [&](const std::string& step, uint64_t version) {
+        auto fresh = filter::SkeletonCache::Fetch((*db)->server_filter());
+        ASSERT_TRUE(fresh.ok()) << step << ": " << fresh.status().ToString();
+        EXPECT_EQ(fresh->version(), version) << step;
+        EXPECT_TRUE(client->skeleton() == *fresh) << step;
+      };
+      const uint64_t pages = probes[0]->skeleton_pages;
+      ASSERT_TRUE((*db)->Insert(2, "<box><coin>c9</coin></box>").ok());
+      expect_current("insert", 1);
+      ASSERT_TRUE((*db)->Update(10, "book", std::nullopt).ok());
+      expect_current("retag", 2);
+      ASSERT_TRUE((*db)->Update(4, "", std::string("T-ONE")).ok());
+      expect_current("text", 3);
+      ASSERT_TRUE((*db)->Delete(3).ok());
+      expect_current("delete", 4);
+      // The commits fetched nothing; only the checks above did.
+      EXPECT_EQ(probes[0]->skeleton_pages - pages, 4u);
+
+      // The last slice loses the commit of DELETE box(5). At m = 2 slice 0
+      // committed, so recovery commits slice 1 and applies this client's
+      // own plan; at m = 1 no slice did, so recovery rolls it back. Either
+      // way the skeleton settles with no fetch.
+      probes[m - 1]->fail_commits = 1;
+      EXPECT_FALSE((*db)->Delete(5).ok());
+      const uint64_t before_recovery = probes[0]->skeleton_pages;
+      ASSERT_TRUE((*db)->RecoverMutations().ok());
+      EXPECT_EQ(probes[0]->skeleton_pages, before_recovery);
+      expect_current("recover", m > 1 ? 5 : 4);
+      auto count = (*db)->Query("count(//coin)", EngineKind::kAdvanced,
+                                MatchMode::kEquality);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(count->aggregate.Total(), m > 1 ? 1u : 2u);
+    }
+  }
+}
+
+// Two clients on the same m = 2 socket servers: after one commits, the
+// other's next query or plan is refused at the stale version, re-fetches
+// its skeleton once and answers for the mutated document — never with a
+// silently wrong answer, even for a query that reads no share at all.
+TEST_F(MutateTest, SecondClientRefetchesOnceAfterAnotherCommits) {
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+  auto served = MakeDb(kLibXml, map, 2, /*seal=*/true);
+  TempDir dir("mutate_two_clients");
+  std::vector<std::unique_ptr<SliceProbe>> probes;
+  std::vector<std::unique_ptr<rpc::ConcurrentServer>> servers;
+  std::vector<std::string> paths;
+  for (size_t i = 0; i < 2; ++i) {
+    probes.push_back(
+        std::make_unique<SliceProbe>(served->ring(), served->slice_store(i)));
+    paths.push_back(dir.FilePath("s" + std::to_string(i) + ".sock"));
+    auto listener = rpc::UnixServerSocket::Listen(paths.back());
+    ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+    servers.push_back(std::make_unique<rpc::ConcurrentServer>(
+        served->ring(), probes.back().get(), std::move(*listener)));
+    ASSERT_TRUE(servers.back()->Start().ok());
+  }
+  auto connect = [&] {
+    std::vector<std::unique_ptr<rpc::Channel>> channels;
+    for (const std::string& path : paths) {
+      auto channel = rpc::ConnectUnix(path);
+      SSDB_CHECK(channel.ok()) << channel.status().ToString();
+      channels.push_back(std::move(*channel));
+    }
+    auto db = EncryptedXmlDatabase::ConnectRemoteMulti(std::move(channels),
+                                                       map, seed_, 83, 1);
+    SSDB_CHECK(db.ok()) << db.status().ToString();
+    return std::move(*db);
+  };
+  auto a = connect();
+  auto b = connect();
+
+  // Runs `text` on `db` and checks it against the plaintext oracle on
+  // `xml`, and that it fetched exactly `refetches` skeleton pages.
+  auto check = [&](EncryptedXmlDatabase* db, const std::string& xml,
+                   const std::string& text, MatchMode mode,
+                   uint64_t refetches) {
+    const uint64_t pages = probes[0]->skeleton_pages;
+    ExpectOracleAnswer(db, xml, text, mode);
+    EXPECT_EQ(probes[0]->skeleton_pages - pages, refetches) << text;
+  };
+
+  // lib=1 shelfA=2 book=3 title=4 book=5 title=6 box=7 coin=8 shelfB=9
+  // box=10 coin=11
+  ASSERT_TRUE(a->Insert(2, "<box><coin>c9</coin></box>").ok());
+  const std::string inserted =
+      "<lib><shelfA><book><title>t1</title></book>"
+      "<book><title>t2</title></book><box><coin>c9</coin></box></shelfA>"
+      "<shelfB><box><coin>c1</coin></box></shelfB></lib>";
+  check(b.get(), inserted, "/lib//coin", MatchMode::kEquality, 1);
+  check(b.get(), inserted, "/lib//coin", MatchMode::kEquality, 0);
+  check(a.get(), inserted, "/lib/*/box", MatchMode::kContainment, 0);
+
+  // lib=1 shelfA=2 book=3 title=4 box=5 coin=6 shelfB=7 box=8 coin=9
+  ASSERT_TRUE(a->Delete(3).ok());
+  // B plans against the stale skeleton: refused, re-fetched, planned again.
+  const uint64_t pages = probes[0]->skeleton_pages;
+  auto retag = b->Update(8, "book", std::nullopt);
+  ASSERT_TRUE(retag.ok()) << retag.status().ToString();
+  EXPECT_EQ(retag->version, 3u);
+  EXPECT_EQ(probes[0]->skeleton_pages - pages, 1u);
+  const std::string retagged =
+      "<lib><shelfA><book><title>t2</title></book>"
+      "<box><coin>c9</coin></box></shelfA>"
+      "<shelfB><book><coin>c1</coin></book></shelfB></lib>";
+  check(b.get(), retagged, "/lib//book/coin", MatchMode::kEquality, 0);
+  check(a.get(), retagged, "/lib//book/coin", MatchMode::kEquality, 1);
+
+  // A query that reads no share sends nothing a server could refuse, so
+  // the client asks for the version before it answers.
+  ASSERT_TRUE(b->Insert(7, "<box/>").ok());
+  const std::string appended =
+      "<lib><shelfA><book><title>t2</title></book>"
+      "<box><coin>c9</coin></box></shelfA>"
+      "<shelfB><book><coin>c1</coin></book><box/></shelfB></lib>";
+  check(a.get(), appended, "//*", MatchMode::kContainment, 1);
+  check(a.get(), appended, "//*", MatchMode::kContainment, 0);
+}
+
+// In-process stacks carry no version stamps, so the planner's own check
+// is what keeps a client from planning against a skeleton another client
+// moved past: it re-fetches first, and the plan lands where it should.
+TEST_F(MutateTest, PlanningOnAStaleSkeletonRefetchesFirst) {
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+  auto served = MakeDb(kLibXml, map, 2, /*seal=*/true);
+  auto open = [&] {
+    auto db = EncryptedXmlDatabase::FromFilters(
+        {served->slice_filter(0), served->slice_filter(1)}, map, seed_, 83,
+        1);
+    SSDB_CHECK(db.ok()) << db.status().ToString();
+    return std::move(*db);
+  };
+  auto a = open();
+  auto b = open();
+  // lib=1 shelfA=2 book=3 title=4 book=5 title=6 box=7 coin=8 shelfB=9 ...
+  ASSERT_TRUE(a->Insert(2, "<box><coin>c9</coin></box>").ok());
+  // B's skeleton still has box at pre 8; the document has coin there.
+  auto retag = b->Update(8, "book", std::nullopt);
+  ASSERT_TRUE(retag.ok()) << retag.status().ToString();
+  EXPECT_EQ(retag->version, 2u);
+  constexpr char kAfter[] =
+      "<lib><shelfA><book><title>t1</title></book>"
+      "<book><title>t2</title></book><box><book>c9</book></box></shelfA>"
+      "<shelfB><box><coin>c1</coin></box></shelfB></lib>";
+  auto expected = MakeDb(kAfter, map, 1, /*seal=*/true);
+  ExpectSameDocument(Snapshot(b->client_filter(), true),
+                     Snapshot(expected->client_filter(), true));
+}
+
+// In-process stacks carry no version stamps, so the facade checks the
+// primary's version after each query: a client whose skeleton another
+// client moved past re-fetches once and answers for the mutated document,
+// never from rows its skeleton does not describe.
+TEST_F(MutateTest, InProcessQueryAfterAnotherCommitRefetchesOnce) {
+  mapping::TagMap map = MapFor({kLibXml}, field_);
+  auto served = MakeDb(kLibXml, map, 2, /*seal=*/true);
+  std::vector<std::unique_ptr<SliceProbe>> probes;
+  for (size_t i = 0; i < 2; ++i) {
+    probes.push_back(
+        std::make_unique<SliceProbe>(served->ring(), served->slice_store(i)));
+  }
+  auto open = [&] {
+    auto db = EncryptedXmlDatabase::FromFilters(
+        {probes[0].get(), probes[1].get()}, map, seed_, 83, 1);
+    SSDB_CHECK(db.ok()) << db.status().ToString();
+    return std::move(*db);
+  };
+  auto a = open();
+  auto b = open();
+  ASSERT_TRUE(a->Insert(2, "<box><coin>c9</coin></box>").ok());
+  const std::string inserted =
+      "<lib><shelfA><book><title>t1</title></book>"
+      "<book><title>t2</title></book><box><coin>c9</coin></box></shelfA>"
+      "<shelfB><box><coin>c1</coin></box></shelfB></lib>";
+  const uint64_t pages = probes[0]->skeleton_pages;
+  for (MatchMode mode : {MatchMode::kEquality, MatchMode::kContainment}) {
+    ExpectOracleAnswer(b.get(), inserted, "/lib//coin", mode);
+    ExpectOracleAnswer(b.get(), inserted, "/lib/shelfB/box/coin", mode);
+  }
+  EXPECT_EQ(probes[0]->skeleton_pages - pages, 1u);
+  auto count = b->Query("count(//coin)", EngineKind::kAdvanced,
+                        MatchMode::kEquality);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->aggregate.Total(), 2u);
 }
 
 // Mutations routed through the shard tier (DESIGN.md §10 + §12): the router
